@@ -155,6 +155,41 @@ SOURCE_PARAMS = frozenset(
     }
 )
 
+#: In-place mutation of state that concurrent readers share under the
+#: *read* side of a ReadWriteLock: the table's narrow mutation hooks and
+#: the index maintenance they drive.  These belong to the exclusive side;
+#: reaching one with only the read side held races every other reader.
+SHARED_MUTATION_FUNCTIONS = frozenset(
+    {
+        "repro.engine.table.Table.append_rows",
+        "repro.engine.table.Table.keep_rows",
+        "repro.engine.table.Table.delete_rows",
+        "repro.engine.table.Table.set_cell",
+        "repro.engine.index.HashIndex.add",
+        "repro.engine.index.HashIndex.remove",
+        "repro.engine.index.OrderedIndex.add",
+        "repro.engine.index.OrderedIndex.remove",
+    }
+)
+
+#: Method-name fallbacks for the table hooks on unresolved receivers (the
+#: index methods' names are too generic to match by name alone).
+SHARED_MUTATION_METHODS = frozenset(
+    {"append_rows", "keep_rows", "delete_rows", "set_cell"}
+)
+
+#: Publish entry points: they hand a *privately built* structure to
+#: readers with one assignment, which is what a lazy build under the read
+#: side is allowed to do.  The mutation closure is cut at these calls.
+ATOMIC_PUBLISH_FUNCTIONS = frozenset(
+    {
+        "repro.engine.table.Table._publish_index",
+    }
+)
+
+#: Method-name fallback for publish calls on unresolved receivers.
+ATOMIC_PUBLISH_METHODS = frozenset({"_publish_index"})
+
 #: Calls that may block the calling thread (qualified names).
 BLOCKING_FUNCTIONS = frozenset(
     {

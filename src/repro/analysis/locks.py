@@ -7,7 +7,7 @@ two identities are split -- both conservative for the rules below in the
 direction of this codebase's idioms (locks live on long-lived singletons
 and are always reached through one attribute path).
 
-Four rules:
+Five rules:
 
 * **lock-order-cycle** -- a global graph with an edge A->B whenever B is
   acquired (lexically, or transitively through a resolvable call chain)
@@ -26,6 +26,13 @@ Four rules:
   *synchronous* lock in an async function: suspending there blocks the
   whole event loop's access to the lock.  ``async with asyncio.Lock`` is
   the sanctioned pattern and is untouched.
+* **mutation-under-read-lock** -- a call that mutates reader-shared state
+  in place (the table mutation hooks and index maintenance registered in
+  ``contracts.SHARED_MUTATION_*``; transitive through resolvable calls)
+  while only the *read* side of a ReadWriteLock is held.  Lazy index
+  builds are the sanctioned pattern under the read side: build a private
+  object, then hand it over through a registered publish entry point
+  (``contracts.ATOMIC_PUBLISH_*``), where the closure is cut.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
+from repro.analysis import contracts
 from repro.analysis.model import Finding, Severity
 from repro.analysis.project import FunctionInfo, Project
 
@@ -78,17 +86,20 @@ class LockPass:
         #: per-function: identities acquired anywhere inside (direct)
         self.direct_acquires: dict[str, set] = {}
         self.direct_blocks: dict[str, Optional[int]] = {}
+        self.direct_mutates: dict[str, Optional[int]] = {}
         #: fixpoint closures through resolvable calls
         self.trans_acquires: dict[str, set] = {}
         self.may_block: dict[str, Optional[tuple]] = {}
+        self.may_mutate: dict[str, Optional[tuple]] = {}
 
     # -- entry -----------------------------------------------------------------
 
     def run(self) -> list[Finding]:
         for fn in self.project.functions.values():
-            acquires, blocks = self._collect_direct(fn)
+            acquires, blocks, mutates = self._collect_direct(fn)
             self.direct_acquires[fn.qualname] = acquires
             self.direct_blocks[fn.qualname] = blocks
+            self.direct_mutates[fn.qualname] = mutates
         self._fixpoint()
         for fn in self.project.functions.values():
             _FunctionWalk(self, fn).run()
@@ -100,6 +111,7 @@ class LockPass:
     def _collect_direct(self, fn: FunctionInfo):
         acquires: set[str] = set()
         blocks: Optional[int] = None
+        mutates: Optional[int] = None
         for node in ast.walk(fn.node):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and node is not fn.node:
@@ -115,15 +127,24 @@ class LockPass:
                 if blocks is None and fn.is_blocking is False \
                         and self.project.is_blocking_call(node, fn):
                     blocks = node.lineno
+                if mutates is None \
+                        and self.project.is_shared_mutation_call(node, fn):
+                    mutates = node.lineno
         if fn.is_blocking:
             blocks = fn.node.lineno
-        return acquires, blocks
+        if fn.qualname in contracts.SHARED_MUTATION_FUNCTIONS:
+            mutates = fn.node.lineno
+        return acquires, blocks, mutates
 
     def _fixpoint(self) -> None:
         self.trans_acquires = {q: set(a) for q, a in self.direct_acquires.items()}
         self.may_block = {
             q: ((line,) if line is not None else None)
             for q, line in self.direct_blocks.items()
+        }
+        self.may_mutate = {
+            q: ((line,) if line is not None else None)
+            for q, line in self.direct_mutates.items()
         }
         callees = {
             q: self._resolved_callees(fn)
@@ -141,6 +162,13 @@ class LockPass:
                             self.may_block.get(target) is not None:
                         self.may_block[qual] = (target,) + tuple(
                             self.may_block[target]
+                        )[:4]
+                        changed = True
+                    if self.may_mutate[qual] is None and \
+                            target not in contracts.ATOMIC_PUBLISH_FUNCTIONS and \
+                            self.may_mutate.get(target) is not None:
+                        self.may_mutate[qual] = (target,) + tuple(
+                            self.may_mutate[target]
                         )[:4]
                         changed = True
             if not changed:
@@ -387,6 +415,9 @@ class _FunctionWalk:
         if not held:
             return
         write_held = next((h for h in held if h.mode == "write"), None)
+        read_held = None
+        if write_held is None:
+            read_held = next((h for h in held if h.mode == "read"), None)
         stack = [node]
         while stack:
             sub = stack.pop()
@@ -414,6 +445,8 @@ class _FunctionWalk:
                             )
                 if write_held is not None:
                     self._check_blocking(sub, qual, write_held)
+                if read_held is not None:
+                    self._check_mutation(sub, qual, read_held)
 
     def _check_blocking(self, call: ast.Call, qual, write_held: _Held) -> None:
         if self.owner.project.is_blocking_call(call, self.fn):
@@ -431,6 +464,29 @@ class _FunctionWalk:
                     f"call to {qual}() may block while holding the write "
                     f"side of {write_held.identity} "
                     f"(acquired line {write_held.line})",
+                    trace=tuple(str(c) for c in chain),
+                )
+
+    def _check_mutation(self, call: ast.Call, qual, read_held: _Held) -> None:
+        project = self.owner.project
+        if project.is_atomic_publish_call(call, self.fn):
+            return  # one-assignment handover of a privately built object
+        if project.is_shared_mutation_call(call, self.fn):
+            self.owner.report(
+                self.fn, "mutation-under-read-lock", call.lineno,
+                f"in-place mutation of reader-shared state while holding "
+                f"only the read side of {read_held.identity} "
+                f"(acquired line {read_held.line})",
+            )
+            return
+        if qual in project.functions:
+            chain = self.owner.may_mutate.get(qual)
+            if chain is not None:
+                self.owner.report(
+                    self.fn, "mutation-under-read-lock", call.lineno,
+                    f"call to {qual}() may mutate reader-shared state in "
+                    f"place while holding only the read side of "
+                    f"{read_held.identity} (acquired line {read_held.line})",
                     trace=tuple(str(c) for c in chain),
                 )
 

@@ -32,6 +32,9 @@ RULES = {
     "runs while holding a ReadWriteLock write side",
     "await-under-lock": "an await expression runs while holding a "
     "synchronous lock (blocks the whole event loop)",
+    "mutation-under-read-lock": "state that readers share (a table, one "
+    "of its indexes) is mutated in place while only the read side of a "
+    "ReadWriteLock is held",
 }
 
 

@@ -283,6 +283,24 @@ class Project:
                 return contracts.SINK_METHODS[meth]
         return None
 
+    def is_shared_mutation_call(self, call: ast.Call, fn: FunctionInfo) -> bool:
+        """Does the call mutate reader-shared state in place (a table hook
+        or index maintenance)?"""
+        qual, meth = self.resolve_call(call, fn)
+        if qual in contracts.SHARED_MUTATION_FUNCTIONS:
+            return True
+        return (
+            qual not in self.functions
+            and meth in contracts.SHARED_MUTATION_METHODS
+            and isinstance(call.func, ast.Attribute)
+        )
+
+    def is_atomic_publish_call(self, call: ast.Call, fn: FunctionInfo) -> bool:
+        qual, meth = self.resolve_call(call, fn)
+        if qual in contracts.ATOMIC_PUBLISH_FUNCTIONS:
+            return True
+        return qual is None and meth in contracts.ATOMIC_PUBLISH_METHODS
+
     def is_blocking_call(self, call: ast.Call, fn: FunctionInfo) -> bool:
         qual, meth = self.resolve_call(call, fn)
         if qual is not None:

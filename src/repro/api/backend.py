@@ -82,6 +82,11 @@ class Backend(Protocol):
 
     def prepare_query(self, query) -> int: ...
 
+    # ``(result_id, num_rows)``; single-SP backends return the pair as a
+    # :class:`~repro.engine.executor.PreparedResult`, whose ``info``
+    # attribute says how this very execution ran (batch/row path, index
+    # probe vs scan) -- the session layer reads it with ``getattr``, so a
+    # backend returning a plain tuple simply reports nothing.
     def execute_prepared(
         self, stmt_id: int, params: Sequence = ()
     ) -> tuple[int, int]: ...

@@ -295,15 +295,16 @@ class Cursor:
 
         Folds the legacy per-attribute telemetry (``cost``,
         ``rewritten_sql``, ``leakage``, ``notes``), the cluster scatter
-        report, and the engine's batch/row execution path into one frozen
-        value.  Built on access from the retained execution handle, so it
-        survives streaming fetches; None before any execution.
+        report, and the execution path / access paths the SP returned with
+        *this* result (in-process or over the wire) into one frozen value.
+        Built on access from the retained execution handle, so it survives
+        streaming fetches; None before any execution.
         """
         from repro.api.report import QueryReport
 
         if self._execution is not None:
             execution = self._execution
-            engine = getattr(self.connection.proxy.server, "engine", None)
+            info = execution.exec_info
             return QueryReport(
                 kind="select",
                 rewritten_sql=execution.rewritten_sql,
@@ -311,8 +312,9 @@ class Cursor:
                 leakage=execution.plan.leakage + execution.scatter_leakage,
                 notes=execution.plan.notes,
                 scatter=execution.scatter,
-                exec_path=getattr(engine, "last_exec_path", None),
-                batch_fallback=getattr(engine, "last_batch_fallback", None),
+                exec_path=info.path if info is not None else None,
+                batch_fallback=info.fallback if info is not None else None,
+                access=tuple(info.access) if info is not None else (),
                 failover=tuple(
                     getattr(execution.scatter, "failover", ()) or ()
                 ),

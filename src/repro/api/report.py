@@ -21,10 +21,13 @@ class QueryReport:
 
     ``scatter`` is the cluster coordinator's
     :class:`~repro.cluster.coordinator.ScatterReport` for this execution
-    (None on single-SP deployments); ``exec_path`` /``batch_fallback``
-    mirror the engine's ``last_exec_path``/``last_batch_fallback``
-    observability attributes where the backend exposes an engine
-    (best-effort: None over a wire, where the engine is out of reach).
+    (None on single-SP deployments); ``exec_path`` / ``batch_fallback`` /
+    ``access`` are the engine's :class:`~repro.engine.executor.ExecInfo`
+    for *this* execution, carried with its result (in-process and over
+    the wire alike; None/empty where the backend reports none, e.g. a
+    scatter across shards).  ``access`` has one line per base table:
+    ``index(accounts.a_id) = -> 1/5000 rows`` when a secondary index was
+    probed, ``scan(accounts)`` when the table was scanned.
     ``leakage`` already folds routing leakage into the rewrite's declared
     leakage -- it is the complete disclosure list for the execution.
     """
@@ -37,6 +40,8 @@ class QueryReport:
     scatter: Optional[object] = None  # ScatterReport
     exec_path: Optional[str] = None   # 'batch' | 'row' | None (unknown)
     batch_fallback: Optional[str] = None
+    #: access path per base table (index probe vs scan); () when unknown
+    access: tuple = ()
     #: replica failover events (suspect/evict/promote) absorbed by this
     #: execution's transparent retry -- empty on a healthy cluster
     failover: tuple = ()
@@ -67,6 +72,8 @@ class QueryReport:
             if self.batch_fallback:
                 path += f" (batch fallback: {self.batch_fallback})"
             lines.append(f"execution path: {path}")
+        for line in self.access:
+            lines.append(f"access: {line}")
         lines.append("declared leakage:")
         if self.leakage:
             lines.extend(f"  - {item}" for item in self.leakage)

@@ -252,9 +252,10 @@ class Statement:
                     )
                     variant.server_id = id(server)
                     self._server_handles.append([server, variant.stmt_id])
-                result_id, num_rows = server.execute_prepared(
+                prepared = server.execute_prepared(
                     variant.stmt_id, literals, session=context.session_id
                 )
+                result_id, num_rows = prepared
                 server_s = time.perf_counter() - t0
             self._mark_used()
             # snapshot-epoch observation: in-process backends expose the epoch
@@ -301,6 +302,7 @@ class Statement:
             scatter=scatter,
             scatter_leakage=tuple(scatter.leakage) if scatter else (),
             root_span=root if root else None,
+            exec_info=getattr(prepared, "info", None),
         )
         slowlog = getattr(self.connection, "slowlog", None)
         if slowlog is not None and slowlog.is_slow(elapsed):
@@ -445,6 +447,10 @@ class SelectExecution:
     #: the execution's root trace span (None when tracing is off); fetch-
     #: time decrypt spans attach under it even after it finished
     root_span: Optional[object] = None
+    #: how the SP ran this execution (engine ExecInfo: batch/row path and
+    #: access paths); arrives with the result, refreshed by every fetched
+    #: chunk of a pipelined result.  None where the backend reports none.
+    exec_info: Optional[object] = None
 
     def __post_init__(self):
         # an abandoned execution (cursor dropped before exhausting or
@@ -510,6 +516,8 @@ class SelectExecution:
         with fetch_cm as fetch_span:
             chunk = proxy.server.fetch_rows(self.result_id, count)
             fetch_span.set_attr("rows", chunk.num_rows)
+        if chunk.exec_info is not None:
+            self.exec_info = chunk.exec_info
         t1 = time.perf_counter()
         self.server_s += t1 - t0
         proxy.channel.record_result(chunk)

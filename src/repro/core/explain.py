@@ -11,6 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.plan import Const, PlainSlot, PostOp, ShareSlot
+from repro.engine.executor import (
+    INDEX_MAX_FRACTION,
+    INDEX_MIN_ROWS,
+    describe_access,
+)
 from repro.engine.planner import PlanNode
 from repro.sql import ast
 from repro.sql.params import num_parameters
@@ -165,10 +170,14 @@ def plan(proxy, statement) -> PlanNode:
         )
         rewritten = rewrite(statement)
         kind = type(statement).__name__.lower()
+        target = rewritten.statement
         return PlanNode(
             op=kind,
             detail=f"rewritten {kind.upper()} on {statement.table}, "
             "predicate evaluated over shares at the SP",
+            children=_access_nodes(
+                ast.TableRef(name=target.table), target.where
+            ),
             leakage=rewritten.leakage,
             notes=rewritten.notes,
         )
@@ -191,7 +200,41 @@ def _route_node(proxy, rewritten_query) -> PlanNode:
         op="execute",
         detail="single service provider runs the rewritten query",
         props={"backend": type(server).__name__},
+        children=_access_nodes(
+            rewritten_query.from_clause, rewritten_query.where
+        ),
     )
+
+
+def _access_nodes(from_clause, where) -> tuple:
+    """One ``access`` operator per base table: how the SP engine will read
+    it.  Shape only -- the predicates' columns and operators, which the SP
+    sees in clear anyway (sensitive predicates are UDF calls and never
+    qualify); the probe-vs-scan choice is made at execute time from the
+    index's exact match count and is reported by ``QueryReport.access``.
+    """
+    if from_clause is None:
+        return ()
+    nodes = []
+    for table, candidates in describe_access(from_clause, where):
+        if candidates:
+            probes = ", ".join(
+                f"index({table}.{column}) {op}" for column, op in candidates
+            )
+            detail = (
+                f"{table}: probe {probes} when it keeps at most "
+                f"1/{INDEX_MAX_FRACTION} of >= {INDEX_MIN_ROWS} rows, "
+                "else scan"
+            )
+        else:
+            detail = f"{table}: scan (no column-vs-constant predicate)"
+        nodes.append(
+            PlanNode(
+                op="access", detail=detail,
+                props={"candidates": len(candidates)},
+            )
+        )
+    return tuple(nodes)
 
 
 def describe_spec(spec) -> str:

@@ -20,6 +20,7 @@ from repro.core.sync import ReadWriteLock
 from repro.core.txn import TransactionManager, _row_key
 from repro.core.udfs import AGGREGATE_UDFS, SCALAR_UDFS, register_sdb_udfs
 from repro.engine import Catalog, Engine, Table
+from repro.engine.executor import PreparedResult
 from repro.engine.udf import UDFRegistry, rows_from_args
 from repro.sql import ast
 
@@ -102,9 +103,14 @@ class _StreamingResult:
     with the same rules the materializing path applies to whole results.
     """
 
-    def __init__(self, names: Sequence[str], rows, source: str = "", version: int = 0):
+    def __init__(
+        self, names: Sequence[str], rows, source: str = "", version: int = 0,
+        info=None,
+    ):
         self._names = list(names)
         self._rows = rows
+        #: the pipeline's ExecInfo; its row generator updates it in flight
+        self.info = info
         #: source table and its snapshot version at open (stale-read guard)
         self.source = source
         self.version = version
@@ -133,7 +139,11 @@ class _StreamingResult:
             infer_column_spec(name, column)
             for name, column in zip(self._names, columns)
         )
-        return Table(Schema(specs), columns)
+        chunk = Table.adopting(Schema(specs), columns)
+        # a segment may have fallen back to the row interpreter while
+        # producing this chunk: report the state as of now
+        chunk.exec_info = self.info
+        return chunk
 
 
 class SDBServer:
@@ -660,17 +670,22 @@ class SDBServer:
         keyed = (
             table is not None and ROWID_COLUMN in table.schema.names
         )
-        pre_cells = None
-        if keyed and not isinstance(statement, ast.Insert):
-            pre_cells = list(table.column(ROWID_COLUMN))
         indices: list[int] = []
-        affected = run_dml(self.engine, statement, affected_indices=indices)
+        cells: list = []  # a DELETE's pre-image: its rows are gone afterwards
+        affected = run_dml(
+            self.engine, statement, affected_indices=indices,
+            deleted_cells={ROWID_COLUMN: cells} if keyed else None,
+        )
         keys: Optional[frozenset] = None
         if keyed:
             if isinstance(statement, ast.Insert):
                 keys = frozenset()
             else:
-                touched = {_row_key(pre_cells[i]) for i in indices}
+                if isinstance(statement, ast.Update):
+                    # UPDATE never moves rows: the touched cells are in place
+                    column = table.column(ROWID_COLUMN)
+                    cells = [column[i] for i in indices]
+                touched = {_row_key(cell) for cell in cells}
                 keys = None if None in touched else frozenset(touched)
         self.txns.note_autocommit(name, keys)
         return affected
@@ -698,7 +713,7 @@ class SDBServer:
 
     def execute_prepared(
         self, stmt_id: int, params: Sequence = (), session=None
-    ) -> tuple[int, int]:
+    ) -> PreparedResult:
         """Bind ``params`` and run; returns ``(result_id, num_rows)``.
 
         The result stays server-side until fetched or closed;
@@ -730,23 +745,23 @@ class SDBServer:
                     pipeline = execute_iter(bound)
                     if pipeline is not None:
                         self._note_session(session, "reads")
-                        names, rows = pipeline
                         source = bound.from_clause.name.lower()
                         entry = _StreamingResult(
-                            names, rows, source=source,
+                            pipeline.names, pipeline.rows, source=source,
                             version=self._table_version(source),
+                            info=pipeline.info,
                         )
                         with self._state_lock:
                             result_id = next(self._handle_ids)
                             self._results[result_id] = entry
-                        return result_id, -1
+                        return PreparedResult(result_id, -1, pipeline.info)
         # the session must survive to ``execute``: it selects the
         # transaction overlay engine, not just the stats bucket
         result = self.execute(bound, session=session)
         with self._state_lock:
             result_id = next(self._handle_ids)
             self._results[result_id] = _MaterializedResult(result)
-        return result_id, result.num_rows
+        return PreparedResult(result_id, result.num_rows, result.exec_info)
 
     def fetch_rows(self, result_id: int, count: Optional[int] = None) -> Table:
         """Next chunk of an open result (all remaining when ``count`` is None).

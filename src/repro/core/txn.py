@@ -180,10 +180,9 @@ class SessionTransaction:
                 # unknown table: let the engine raise its usual DMLError
                 return dml_mod.execute_dml(self.engine, statement)
             committed = self._server.catalog.get(name)
-            copy = Table(
-                committed.schema,
-                [list(column) for column in committed.columns],
-            )
+            # a private working copy: scanned, never indexed (one index
+            # build per transaction would dwarf its handful of statements)
+            copy = Table(committed.schema, committed.columns, indexable=False)
             coarse = ROWID_COLUMN not in committed.schema.names
             write = TableWrite(
                 name,
@@ -194,42 +193,19 @@ class SessionTransaction:
             self.writes[name] = write
 
         indices: list[int] = []
-        if isinstance(statement, ast.Insert):
-            pre_cells = None
-        elif write.coarse:
-            pre_cells = None
-        else:
-            pre_cells = list(write.table.column(ROWID_COLUMN))
+        dead_cells: list = []
         affected = dml_mod.execute_dml(
-            self.engine, statement, affected_indices=indices
+            self.engine, statement, affected_indices=indices,
+            deleted_cells=None if write.coarse else {ROWID_COLUMN: dead_cells},
         )
         self.redo.append(statement)
         if write.coarse:
             return affected
 
-        if isinstance(statement, ast.Insert):
-            cells = write.table.column(ROWID_COLUMN)
-            keys = {_row_key(cells[i]) for i in indices}
-            if None in keys:
-                write.escalate()
-            else:
-                write.inserted |= keys
-        elif isinstance(statement, ast.Update):
-            keys = {_row_key(pre_cells[i]) for i in indices}
-            if None in keys:
-                write.escalate()
-            else:
-                write.updated |= keys - write.inserted
-        else:  # Delete
-            dead = {}
-            bad = False
-            for i in indices:
-                key = _row_key(pre_cells[i])
-                if key is None:
-                    bad = True
-                    break
-                dead[key] = pre_cells[i]
-            if bad:
+        if isinstance(statement, ast.Delete):
+            # the rows are gone: their identity is the captured pre-image
+            dead = {_row_key(cell): cell for cell in dead_cells}
+            if None in dead:
                 write.escalate()
             else:
                 for key, cell in dead.items():
@@ -238,6 +214,17 @@ class SessionTransaction:
                         continue
                     write.updated.discard(key)
                     write.deleted[key] = cell
+            return affected
+        # INSERT appends and UPDATE never moves rows, so the touched
+        # cells are still where ``indices`` says
+        cells = write.table.column(ROWID_COLUMN)
+        keys = {_row_key(cells[i]) for i in indices}
+        if None in keys:
+            write.escalate()
+        elif isinstance(statement, ast.Insert):
+            write.inserted |= keys
+        else:
+            write.updated |= keys - write.inserted
         return affected
 
 
@@ -253,37 +240,56 @@ class _Delta:
         self.deleted = deleted      # key -> row-id cell
 
 
-def apply_delta(live: Table, upserts: Table, deleted_keys: set) -> None:
-    """Apply an upsert/delete delta to a live table, idempotently.
+def _rowid_positions(live: Table, cells) -> list:
+    """Position of each row-id cell in ``live`` (None where absent).
 
-    Rows whose row-id already exists are overwritten in place, missing
-    row-ids are appended, deleted keys are dropped.  Re-applying the
-    same delta is a no-op, which is what lets a crashed cluster commit
-    be re-driven (:mod:`repro.cluster.txn`).
+    Answered from the table's own row-id hash index -- built once,
+    maintained by every write -- so a commit costs O(rows touched), not
+    a pass over the table.  Row-id ciphertexts hash by ``(value,
+    nonce)``, the same identity :func:`_row_key` uses; a table whose
+    row-id cells are not hashable falls back to a one-off map.
     """
     from repro.core.encryptor import ROWID_COLUMN
 
-    index = {
-        _row_key(cell): i
-        for i, cell in enumerate(live.column(ROWID_COLUMN))
-    }
+    index = live.hash_index(ROWID_COLUMN)
+    if index is None:
+        lookup = {
+            _row_key(cell): i
+            for i, cell in enumerate(live.column(ROWID_COLUMN))
+        }
+        return [lookup.get(_row_key(cell)) for cell in cells]
+    out = []
+    for cell in cells:
+        found = live.positions(index.rids((cell,)))
+        out.append(found[0] if found else None)
+    return out
+
+
+def apply_delta(live: Table, upserts: Table, deleted_cells) -> None:
+    """Apply an upsert/delete delta to a live table, idempotently.
+
+    Rows whose row-id already exists are overwritten in place, missing
+    row-ids are appended, the rows of ``deleted_cells`` (row-id cells)
+    are dropped.  Re-applying the same delta is a no-op, which is what
+    lets a crashed cluster commit be re-driven (:mod:`repro.cluster.txn`).
+    """
+    from repro.core.encryptor import ROWID_COLUMN
+
     names = live.schema.names
     appends = []
-    for j, cell in enumerate(upserts.column(ROWID_COLUMN)):
-        key = _row_key(cell)
-        i = index.get(key)
+    positions = _rowid_positions(live, upserts.column(ROWID_COLUMN))
+    for j, i in enumerate(positions):
         row = upserts.row(j)
         if i is None:
             appends.append(row)
         else:
             for column, value in zip(names, row):
                 live.set_cell(column, i, value)
-    if deleted_keys:
-        dead = {index[key] for key in deleted_keys if key in index}
-        if dead:
-            live.keep_rows(
-                [i not in dead for i in range(live.num_rows)]
-            )
+    dead = {
+        i for i in _rowid_positions(live, deleted_cells) if i is not None
+    }
+    if dead:
+        live.delete_rows(sorted(dead))
     if appends:
         live.append_rows(appends)
 
@@ -435,12 +441,11 @@ class TransactionManager:
                     self._server.catalog.get(parts["d"]).column(ROWID_COLUMN)
                     if "d" in parts else []
                 )
-                deleted_keys = {_row_key(cell) for cell in deleted_cells}
                 touched = {
                     _row_key(cell)
                     for cell in upserts.column(ROWID_COLUMN)
-                } | deleted_keys
-                apply_delta(live, upserts, deleted_keys)
+                } | {_row_key(cell) for cell in deleted_cells}
+                apply_delta(live, upserts, deleted_cells)
                 self._note_commit(name, frozenset(touched))
             applied += 1
             for staging in parts.values():
@@ -595,7 +600,7 @@ class TransactionManager:
             self._note_commit(write.name, None)
             return
         live = self._server.catalog.get(write.name)
-        apply_delta(live, delta.upserts, set(delta.deleted))
+        apply_delta(live, delta.upserts, list(delta.deleted.values()))
         self._note_commit(
             write.name, frozenset(write.updated | set(delta.deleted))
         )

@@ -78,10 +78,7 @@ class ColumnBatch:
 
     def to_table(self) -> Table:
         """Materialize as an engine table (shares the column lists)."""
-        table = Table.__new__(Table)
-        table.schema = self.schema
-        table.columns = self.columns
-        return table
+        return Table.adopting(self.schema, self.columns)
 
 
 class BatchScope:
@@ -130,6 +127,18 @@ class BatchScope:
     ) -> "BatchScope":
         """A scope combining several bindings via per-binding row vectors."""
         return cls(bindings, length, by_binding=by_binding)
+
+    @property
+    def indices(self) -> Optional[list]:
+        """Base-row positions of a single-table selection; None while the
+        scope still covers its table unfiltered."""
+        return self._indices
+
+    def head(self, count: int) -> "BatchScope":
+        """The first ``count`` rows of this scope."""
+        if count >= self.length:
+            return self
+        return self.select(list(range(count)))
 
     def select(self, local_indices: list) -> "BatchScope":
         """Narrow to the given row positions (relative to this scope)."""

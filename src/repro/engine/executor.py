@@ -23,14 +23,18 @@ Two execution paths share this pipeline:
   row.  Any shape the batch path cannot handle (joins, subqueries,
   intervals, unresolvable ORDER BY) falls back to the row path; any
   *error* raised while batch-evaluating also falls back, so queries that
-  legitimately fail produce the row path's exception.  ``last_exec_path``
-  records which path produced the last top-level result.
+  legitimately fail produce the row path's exception.  Every top-level
+  result carries an :class:`ExecInfo` saying which path produced it.
+
+Base-table scans go through :func:`access_path`, the one place that
+chooses between probing a secondary index and scanning (SELECT, the
+pipelined ``execute_iter`` and UPDATE/DELETE all call it).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.engine.catalog import Catalog
 from repro.engine.columnar import (
@@ -46,6 +50,7 @@ from repro.engine.expressions import (
     RowScope,
     _MISSING,
 )
+from repro.engine.index import value_kind
 from repro.engine.schema import Schema
 from repro.engine.table import Table
 from repro.engine.udf import UDFRegistry
@@ -55,6 +60,222 @@ from repro.sql.parser import parse
 
 class ExecutionError(ValueError):
     """Raised for semantically invalid queries."""
+
+
+@dataclasses.dataclass
+class ExecInfo:
+    """How one statement was executed.
+
+    Travels *with the result* (``Table.exec_info``, the pipelined result
+    handle, an optional key on the wire) instead of living on the shared
+    engine, so concurrent sessions can never read each other's.  A
+    pipelined result shares one instance with its row generator: a
+    segment that falls back to the row interpreter updates it in flight.
+    """
+
+    #: 'batch' | 'row' -- which interpreter produced the rows
+    path: str = "batch"
+    #: why the batch path was not used ('' = it was)
+    fallback: str = ""
+    #: one line per base table planned: ``index(t.c) = -> 1/5000 rows``
+    #: or ``scan(t)``; empty where no base table was planned
+    access: tuple = ()
+
+    def to_wire(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_wire(cls, payload: dict) -> "ExecInfo":
+        return cls(
+            path=payload.get("path", "batch"),
+            fallback=payload.get("fallback", ""),
+            access=tuple(payload.get("access", ())),
+        )
+
+
+class PreparedResult(tuple):
+    """``(result_id, num_rows)`` as returned by ``execute_prepared``, plus
+    how the statement ran.
+
+    Still unpacks as the historical pair; :attr:`info` is the execution's
+    :class:`ExecInfo` (None where the backend reports none, e.g. a scatter
+    over several shards).  Carrying it on the return value -- and as an
+    optional ``exec`` key on the wire -- is what keeps one session's
+    report from reading another's path off shared engine state.
+    """
+
+    def __new__(cls, result_id: int, num_rows: int, info=None):
+        self = super().__new__(cls, (result_id, num_rows))
+        self.info = info
+        return self
+
+
+class Pipeline(NamedTuple):
+    """What :meth:`Engine.execute_iter` hands back for a streamable query."""
+
+    names: list
+    rows: object
+    info: ExecInfo
+
+
+# -- access paths -------------------------------------------------------------
+#
+# The probe-vs-scan choice rests on what the index itself observes: the
+# exact number of matching rows (a bucket length, or the distance between
+# two bisects) against the table's row count.  Both thresholds are
+# constants, not options -- the scan is what the probe reduces to whenever
+# they are not met.
+
+#: tables smaller than this are scanned, and never indexed: the scan is
+#: already as cheap as planning the probe
+INDEX_MIN_ROWS = 256
+
+#: probe only when the predicate keeps at most 1/N of the rows.  Measured
+#: on 20k rows: at 1/4 a probe is 2-5x cheaper than the scan; at 1/2 an
+#: ordered probe (which sorts the positions it materializes) only breaks
+#: even, so wide analytic predicates keep the scan they always had
+INDEX_MAX_FRACTION = 4
+
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _sargable(conjunct, binding: str, names=None) -> Optional[tuple]:
+    """``(column, op, operands)`` for ``column <op> literal`` on this table.
+
+    ``names`` are the table's columns; None (EXPLAIN, which has no
+    catalog at hand) accepts any column qualified with ``binding``.
+
+    Covers ``=``, the four inequalities (either operand order), a
+    non-negated ``BETWEEN`` and a non-negated ``IN`` over literals.  NULL
+    operands disqualify a comparison (it is never true; the scan says so
+    too) and are simply dropped from ``IN`` lists, where they cannot make
+    a row qualify.
+    """
+
+    def owned(node) -> bool:
+        if not isinstance(node, ast.Column):
+            return False
+        if names is None:
+            return node.table == binding
+        return node.table in (None, binding) and node.name in names
+
+    def constant(node) -> bool:
+        return isinstance(node, ast.Literal) and node.value is not None
+
+    if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _FLIPPED:
+        left, right, op = conjunct.left, conjunct.right, conjunct.op
+        if isinstance(left, ast.Literal):
+            left, right, op = right, left, _FLIPPED[op]
+        if owned(left) and constant(right):
+            return left.name, op, (right.value,)
+    elif isinstance(conjunct, ast.Between) and not conjunct.negated:
+        if (
+            owned(conjunct.subject)
+            and constant(conjunct.low)
+            and constant(conjunct.high)
+        ):
+            return (
+                conjunct.subject.name, "between",
+                (conjunct.low.value, conjunct.high.value),
+            )
+    elif isinstance(conjunct, ast.InList) and not conjunct.negated:
+        if owned(conjunct.subject) and all(
+            isinstance(item, ast.Literal) for item in conjunct.items
+        ):
+            values = [i.value for i in conjunct.items if i.value is not None]
+            return conjunct.subject.name, "in", tuple(dict.fromkeys(values))
+    return None
+
+
+def _probe(table: Table, column: str, op: str, operands: tuple):
+    """``(match count, rid thunk)`` from the column's index, or None.
+
+    None means this predicate cannot be answered from an index: the
+    column is unindexable, or a literal is of another comparison family
+    than the column (the scan keeps the evaluator's semantics for that).
+    """
+    if op in ("=", "in"):
+        index = table.hash_index(column)
+    else:
+        index = table.ordered_index(column)
+    if index is None:
+        return None
+    if index.kind is not None and any(
+        value_kind(value) != index.kind for value in operands
+    ):
+        return None
+    if op in ("=", "in"):
+        return index.count(operands), lambda: index.rids(operands)
+    if op == "between":
+        start, stop = index.span(operands[0], True, operands[1], True)
+    elif op in ("<", "<="):
+        start, stop = index.span(None, False, operands[0], op == "<=")
+    else:
+        start, stop = index.span(operands[0], op == ">=", None, False)
+    return stop - start, lambda: index.rids_between(start, stop)
+
+
+def access_path(binding: str, name: str, table: Table, conjuncts: list) -> tuple:
+    """Choose how to read ``table``: ``(scope, residual conjuncts, access)``.
+
+    ``scope`` is a :class:`BatchScope` over the table narrowed to the rows
+    an index probe selected -- the same rows, in the same (ascending
+    position) order, the probed conjunct would have kept in a scan -- and
+    ``residual`` the conjuncts still to be evaluated over it.  When no
+    conjunct is sargable, the table is below the floor, or even the most
+    selective probe keeps too many rows, the scope is the whole table and
+    every conjunct is residual: the scan is the fallback the probe
+    reduces to.  ``access`` is the human-readable line for reports.
+
+    ``access_path.min_rows`` is a test-only hook: 0 forces the probe for
+    every selective predicate, ``float('inf')`` forces the scan.
+    """
+    scope = BatchScope.for_table(binding, table)
+    total = table.num_rows
+    best = None
+    if table.indexable and total >= access_path.min_rows:
+        names = table.schema.names
+        for conjunct in conjuncts:
+            sargable = _sargable(conjunct, binding, names)
+            if sargable is None:
+                continue
+            probe = _probe(table, *sargable)
+            if probe is not None and (best is None or probe[0] < best[0]):
+                best = (*probe, conjunct, sargable)
+    if best is None or best[0] * INDEX_MAX_FRACTION > total:
+        return scope, list(conjuncts), f"scan({name})"
+    count, rids, chosen, (column, op, _) = best
+    scope = scope.select(table.positions(rids()))
+    residual = [c for c in conjuncts if c is not chosen]
+    return scope, residual, f"index({name}.{column}) {op} -> {count}/{total} rows"
+
+
+access_path.min_rows = INDEX_MIN_ROWS
+
+
+def describe_access(from_clause, where) -> list:
+    """``[(table, [candidate, ...])]``: what :func:`access_path` will
+    consider for each base table of a statement, from its shape alone.
+
+    A candidate is the ``(column, op)`` of a sargable conjunct (never
+    its literal).  EXPLAIN renders these: the probe-vs-scan choice itself
+    needs the match count, which only exists at execute time.  Shapes the
+    batch path does not plan (derived tables, outer joins) yield [].
+    """
+    try:
+        refs, conjuncts = _batch_join_tree(from_clause)
+    except BatchUnsupported:
+        return []
+    conjuncts = conjuncts + _split_conjuncts(where)
+    out = []
+    for ref in refs:
+        candidates = []
+        for conjunct in conjuncts:
+            sargable = _sargable(conjunct, ref.binding)
+            if sargable is not None:
+                candidates.append(sargable[:2])
+        out.append((ref.name, list(dict.fromkeys(candidates))))
+    return out
 
 
 class _TrackingScope(RowScope):
@@ -89,6 +310,8 @@ class Engine:
         self.udfs = udfs or UDFRegistry()
         self.batch_enabled = batch_enabled
         #: 'batch' | 'row' -- which path produced the last top-level result.
+        #: Single-threaded convenience only: engines are shared between
+        #: sessions, so reports read the result's own ``exec_info``.
         self.last_exec_path: Optional[str] = None
         #: why the batch path was not used, for observability ('' = it was).
         self.last_batch_fallback: str = ""
@@ -110,22 +333,24 @@ class Engine:
     #: matches the session layer's default ``cursor.arraysize``
     stream_segment_rows = 256
 
-    def execute_iter(self, query):
-        """A ``(output_names, row_iterator)`` pair for streamable queries.
+    def execute_iter(self, query) -> Optional[Pipeline]:
+        """A :class:`Pipeline` (names, row iterator, info) for streamable queries.
 
         Returns None when the query is not streamable.  Streamable shapes
         are single-table scan -> filter -> project pipelines (no
         aggregates, grouping, ordering, DISTINCT or subqueries; LIMIT is
         honored by stopping the scan early).  The iterator is *pipelined*
-        at :attr:`stream_segment_rows` granularity: the scan is evaluated
-        one segment at a time, only as the consumer pulls rows, and each
-        segment runs through the normal execution pipeline -- columnar
-        batch path included -- so streaming costs no per-row throughput.
+        at :attr:`stream_segment_rows` granularity: residual predicates
+        and the projection are evaluated one segment at a time, only as
+        the consumer pulls rows, on the columnar batch path (a segment
+        the batch evaluator cannot handle re-runs on the row interpreter).
 
-        The column lists are snapshotted (cell references only) up front:
-        the result reflects the table as of execution time, exactly like
-        the materializing path, even if DML or a key rotation lands
-        between the execution and a later fetch.
+        The access path is resolved *here*, at execute time, and only the
+        selected rows of the referenced columns are snapshotted (cell
+        references only): the result reflects the table as of execution
+        time, exactly like the materializing path, even if DML or a key
+        rotation lands between the execution and a later fetch -- and a
+        selective predicate never copies the table to honor that.
         """
         if isinstance(query, str):
             query = parse(query)
@@ -152,20 +377,43 @@ class Engine:
                     node.name
                 ):
                     return None
-        table = self.catalog.get(query.from_clause.name)
-        binding = query.from_clause.name
+        table_ref = query.from_clause
+        table = self.catalog.get(table_ref.name)
+        binding = table_ref.binding
         names = table.schema.names
-        items = self._expand_stars(
-            query.items, {query.from_clause.binding: names}
-        )
+        items = self._expand_stars(query.items, {binding: names})
         out_names = self._output_names_from(items)
-        columns = [list(column) for column in table.columns]
-        total = len(columns[0]) if columns else 0
-        schema = table.schema
+        conjuncts = _split_conjuncts(query.where)
+        conjuncts = conjuncts + _hoist_common_or_equalities(conjuncts)
+        if self.batch_enabled:
+            scope, residual, access = access_path(
+                binding, table_ref.name, table, conjuncts
+            )
+            info = ExecInfo(access=(access,))
+        else:  # the row interpreter is the reference: it scans
+            scope, residual = BatchScope.for_table(binding, table), conjuncts
+            info = ExecInfo(
+                path="row", fallback="disabled",
+                access=(f"scan({table_ref.name})",),
+            )
         limit = query.limit
-        segment_query = query if limit is None else dataclasses.replace(
-            query, limit=None
-        )
+        if limit is not None and not residual:
+            scope = scope.head(max(limit, 0))
+        referenced = {
+            node.name
+            for root in [item.expr for item in items] + residual
+            for node in ast.walk(root)
+            if isinstance(node, ast.Column)
+        }
+        columns = {
+            name: scope.lookup(name, binding)
+            for name in names
+            if name in referenced
+        }
+        total = scope.length
+        if scope.indices is None:
+            # an unfiltered scope hands out the live lists: copy them
+            columns = {name: list(column) for name, column in columns.items()}
         segment_rows = max(1, int(self.stream_segment_rows))
 
         def rows():
@@ -173,22 +421,43 @@ class Engine:
                 return
             produced = 0
             for start in range(0, total, segment_rows):
-                segment = Table(
-                    schema,
-                    [column[start:start + segment_rows] for column in columns],
-                )
-                catalog = Catalog()
-                catalog.create(binding, segment)
-                engine = Engine(
-                    catalog, self.udfs, batch_enabled=self.batch_enabled
-                )
-                for row in engine.execute(segment_query).rows():
-                    yield list(row)
+                stop = min(start + segment_rows, total)
+                for row in self._stream_segment(
+                    binding, columns, total, start, stop, residual, items, info
+                ):
+                    yield row
                     produced += 1
                     if limit is not None and produced >= limit:
                         return
 
-        return out_names, rows()
+        return Pipeline(out_names, rows(), info)
+
+    def _stream_segment(
+        self, binding, columns, total, start, stop, residual, items, info
+    ) -> list:
+        """Filter + project rows ``[start, stop)`` of a pipelined snapshot."""
+        if self.batch_enabled:
+            whole = start == 0 and stop == total
+            scope = BatchScope(
+                {binding: columns}, stop - start,
+                indices=None if whole else list(range(start, stop)),
+            )
+            try:
+                scope = self._batch_filter(scope, residual)
+                evaluator = BatchEvaluator(self, scope)
+                out = [evaluator.column(item.expr) for item in items]
+                return [list(row) for row in zip(*out)]
+            except BatchUnsupported as exc:
+                info.path, info.fallback = "row", f"unsupported: {exc}"
+            except Exception as exc:  # noqa: BLE001 -- row path re-raises
+                info.path, info.fallback = "row", f"error: {exc!r}"
+        out = []
+        for i in range(start, stop):
+            row = {name: column[i] for name, column in columns.items()}
+            evaluator = Evaluator(self, RowScope({binding: row}))
+            if all(evaluator.evaluate(c) is True for c in residual):
+                out.append([evaluator.evaluate(item.expr) for item in items])
+        return out
 
     def execute_dml(self, statement) -> int:
         """Run an INSERT/UPDATE/DELETE (SQL text or AST); returns row count."""
@@ -337,28 +606,38 @@ class Engine:
             and drop_conjunct is None
             and query.from_clause is not None
         ):
+            access: list = []
             try:
-                result = self._execute_batch(query)
+                result = self._execute_batch(query, access)
             except BatchUnsupported as exc:
-                self.last_batch_fallback = f"unsupported: {exc}"
+                fallback = f"unsupported: {exc}"
             except Exception as exc:  # noqa: BLE001 -- row path re-raises
                 # Semantic errors (division by zero, type mismatches, ...)
                 # must surface from the reference interpreter; eager batch
                 # evaluation may also error where per-row short-circuiting
                 # would not, and the retry resolves both cases identically.
-                self.last_batch_fallback = f"error: {exc!r}"
+                fallback = f"error: {exc!r}"
             else:
+                result.exec_info = ExecInfo(access=tuple(access))
                 self.last_exec_path = "batch"
                 self.last_batch_fallback = ""
                 return result
         elif outer_scope is None:
-            self.last_batch_fallback = (
+            fallback = (
                 "disabled" if not self.batch_enabled
                 else "shape: no FROM clause"
             )
         if outer_scope is None:
             self.last_exec_path = "row"
-        return self._execute_select_rows(query, outer_scope, preplanned, drop_conjunct)
+            self.last_batch_fallback = fallback
+        result = self._execute_select_rows(
+            query, outer_scope, preplanned, drop_conjunct
+        )
+        if outer_scope is None:
+            # the row interpreter scans (it is the reference the probe is
+            # checked against); no per-table access line to report
+            result.exec_info = ExecInfo(path="row", fallback=fallback)
+        return result
 
     def _execute_select_rows(
         self, query: ast.Select, outer_scope, preplanned=None, drop_conjunct=None
@@ -429,7 +708,7 @@ class Engine:
 
     # -- batch (columnar) pipeline -----------------------------------------
 
-    def _execute_batch(self, query: ast.Select) -> Table:
+    def _execute_batch(self, query: ast.Select, access: list) -> Table:
         """Columnar scan -> filter -> join -> project/aggregate.
 
         Single-table queries run the fused filter pipeline directly; an
@@ -437,7 +716,8 @@ class Engine:
         per-table filtered scopes over selection vectors (the columnar
         analogue of the row path's greedy-ordered hash joins).  Raises
         :exc:`BatchUnsupported` for shapes the batch evaluator cannot
-        express; the caller falls back to the row path.
+        express; the caller falls back to the row path.  ``access``
+        collects one access-path line per base table read.
         """
         refs, on_conjuncts = _batch_join_tree(query.from_clause)
         conjuncts = on_conjuncts + _split_conjuncts(query.where)
@@ -445,13 +725,10 @@ class Engine:
         if len(refs) == 1 and not on_conjuncts:
             table_ref = refs[0]
             table = self.catalog.get(table_ref.name)
-            binding = table_ref.binding
-            binding_columns = {binding: table.schema.names}
-            scope = self._batch_filter(
-                BatchScope.for_table(binding, table), conjuncts
-            )
+            binding_columns = {table_ref.binding: table.schema.names}
+            scope = self._batch_scan(table_ref, conjuncts, access)
         else:
-            scope, binding_columns = self._batch_join(refs, conjuncts)
+            scope, binding_columns = self._batch_join(refs, conjuncts, access)
 
         aggregates = self._collect_aggregates(query)
         if aggregates or query.group_by:
@@ -460,6 +737,15 @@ class Engine:
             )
             return self._finish(query, result_rows, contexts, names, None)
         return self._batch_projected(query, scope, binding_columns)
+
+    def _batch_scan(self, table_ref, conjuncts, access: list):
+        """One base table through its access path, fully filtered."""
+        scope, residual, line = access_path(
+            table_ref.binding, table_ref.name,
+            self.catalog.get(table_ref.name), conjuncts,
+        )
+        access.append(line)
+        return self._batch_filter(scope, residual)
 
     def _batch_filter(self, scope, conjuncts):
         """Fused conjunct pipeline: evaluate each conjunct as a mask and
@@ -478,7 +764,7 @@ class Engine:
                 scope = scope.select([])
         return scope
 
-    def _batch_join(self, refs, conjuncts):
+    def _batch_join(self, refs, conjuncts, access: list):
         """Greedy-ordered columnar hash joins over filtered per-table scopes.
 
         Conjuncts resolvable from a single table are pushed below the join
@@ -502,12 +788,10 @@ class Engine:
             else:
                 join_conjuncts.append(conjunct)
 
-        scopes = {}
-        for ref in refs:
-            scope = BatchScope.for_table(
-                ref.binding, self.catalog.get(ref.name)
-            )
-            scopes[ref.binding] = self._batch_filter(scope, local[ref.binding])
+        scopes = {
+            ref.binding: self._batch_scan(ref, local[ref.binding], access)
+            for ref in refs
+        }
 
         planned = [(None, {ref.binding: binding_names[ref.binding]}) for ref in refs]
         order = _greedy_order(planned, join_conjuncts)

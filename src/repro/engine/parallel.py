@@ -74,8 +74,14 @@ def partition_table(table: Table, num_partitions: int) -> list[Table]:
     start = 0
     for i in range(num_partitions):
         size = base + (1 if i < extra else 0)
+        # throw-away per-query copies: indexing one would cost more than
+        # the single scan it serves
         parts.append(
-            Table(table.schema, [col[start:start + size] for col in table.columns])
+            Table(
+                table.schema,
+                [col[start:start + size] for col in table.columns],
+                indexable=False,
+            )
         )
         start += size
     return parts

@@ -3,19 +3,36 @@
 Storage is column-major (one Python list per column): scans and projections
 touch only the columns they need, which keeps the UDF-heavy rewritten
 queries from paying for untouched columns.
+
+A table also owns its **secondary access structures** (see
+:mod:`repro.engine.index`): per-column hash and ordered indexes, built
+lazily the first time the planner asks for one and kept current by the
+mutation hooks below, so a point or short-range predicate probes a bucket
+instead of scanning.  Indexes address rows by *row id*, not position: a
+row id equals the row's position until the first delete, and from then on
+``_rids`` maps positions to (ascending) row ids, so compacting the rows
+around a delete never renumbers an index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Optional, Sequence
 
+from repro.engine.index import HashIndex, OrderedIndex
 from repro.engine.schema import ColumnSpec, DataType, Schema
+
+#: a delete touching more than 1/N of the rows drops the indexes (the next
+#: probe rebuilds them) instead of unhooking the rows one by one
+_MASS_DELETE_FRACTION = 8
 
 
 class Table:
     """An immutable-by-convention columnar table."""
 
-    def __init__(self, schema: Schema, columns: Sequence[list]):
+    def __init__(
+        self, schema: Schema, columns: Sequence[list], indexable: bool = True
+    ):
         if len(columns) != len(schema.columns):
             raise ValueError(
                 f"schema has {len(schema.columns)} columns, data has {len(columns)}"
@@ -23,8 +40,32 @@ class Table:
         lengths = {len(c) for c in columns}
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
+        self._adopt(schema, [list(c) for c in columns], indexable)
+
+    def _adopt(self, schema: Schema, columns: list, indexable: bool = True):
         self.schema = schema
-        self.columns = [list(c) for c in columns]
+        self.columns = columns
+        #: False for private working copies (a transaction's overlay): they
+        #: are scanned, never indexed -- a build per transaction would cost
+        #: more than the handful of statements that could use it
+        self.indexable = indexable
+        #: ``(column index, 'hash' | 'ordered') -> index``; None marks a
+        #: column found unindexable, so it is not re-examined per query
+        self._indexes: dict = {}
+        #: position -> row id, ascending; None while row id == position
+        self._rids: Optional[list] = None
+        self._next_rid = 0
+        #: how the engine produced this table, when it is a query result
+        #: (:class:`~repro.engine.executor.ExecInfo`); travels with the
+        #: result over the wire so reports never read shared engine state
+        self.exec_info = None
+
+    @classmethod
+    def adopting(cls, schema: Schema, columns: list) -> "Table":
+        """A table that takes ownership of ``columns`` without copying."""
+        table = cls.__new__(cls)
+        table._adopt(schema, columns)
+        return table
 
     # -- constructors -------------------------------------------------------
 
@@ -112,38 +153,149 @@ class Table:
         )
         return Table(Schema(specs), self.columns)
 
+    # -- secondary indexes -----------------------------------------------------
+    #
+    # Lazy builds run under the *shared* side of the server lock (any
+    # reader may be the first to plan a predicate), so a build works on a
+    # private object and becomes visible through one dict assignment;
+    # racing builders publish equivalent indexes and the last one wins.
+    # Everything that changes an index in place lives in the mutation
+    # hooks further down, which writers call under the exclusive side.
+
+    def hash_index(self, name: str) -> Optional[HashIndex]:
+        """The column's hash index, built on first use; None if unindexable."""
+        return self._index(name, "hash", HashIndex)
+
+    def ordered_index(self, name: str) -> Optional[OrderedIndex]:
+        """The column's ordered index, built on first use; None if unindexable."""
+        return self._index(name, "ordered", OrderedIndex)
+
+    def _index(self, name: str, kind: str, factory):
+        if not self.indexable:
+            return None
+        key = (self.schema.index_of(name), kind)
+        try:
+            return self._indexes[key]
+        except KeyError:
+            index = factory.build(self.columns[key[0]], self._rids)
+            self._publish_index(key, index)
+            return index
+
+    def _publish_index(self, key: tuple, index) -> None:
+        """Make a finished index (or the unindexable marker) visible."""
+        self._indexes[key] = index
+
+    def positions(self, rids: Sequence[int]) -> list:
+        """Current row positions of ascending row ids (ascending too)."""
+        table_rids = self._rids
+        if table_rids is None:
+            return list(rids)
+        return [bisect_left(table_rids, rid) for rid in rids]
+
+    def index_names(self) -> list:
+        """``(column, kind)`` of every live index (introspection, tests)."""
+        names = self.schema.names
+        return sorted(
+            (names[ci], kind)
+            for (ci, kind), index in self._indexes.items()
+            if index is not None
+        )
+
     # -- mutation (DML) ----------------------------------------------------
     #
     # Query execution never mutates tables; only the engine's DML entry
     # points call these, so "immutable-by-convention" still holds for
-    # everything reachable from a SELECT.
+    # everything reachable from a SELECT.  Every write funnels through
+    # these hooks, which is what keeps the indexes current.
 
     def append_rows(self, rows: Iterable[Sequence]) -> int:
         """Append rows in schema order; returns the number appended."""
-        count = 0
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        width = self.num_columns
         for row in rows:
-            if len(row) != self.num_columns:
+            if len(row) != width:
                 raise ValueError(
-                    f"row width {len(row)} != schema width {self.num_columns}"
+                    f"row width {len(row)} != schema width {width}"
                 )
-            for col, value in zip(self.columns, row):
-                col.append(value)
-            count += 1
+        before = first_rid = self.num_rows
+        for col, values in zip(self.columns, zip(*rows)):
+            col.extend(values)
+        count = len(rows)
+        if self._rids is not None:
+            first_rid = self._next_rid
+            self._next_rid += count
+            self._rids.extend(range(first_rid, self._next_rid))
+        if self._indexes:
+            for key, index in self._indexes.items():
+                if index is None:
+                    continue
+                column = self.columns[key[0]]
+                for offset in range(count):
+                    if not index.add(column[before + offset], first_rid + offset):
+                        self._indexes[key] = None
+                        break
         return count
 
     def keep_rows(self, mask: Sequence[bool]) -> int:
         """Keep rows where ``mask`` is true; returns the number removed."""
         if len(mask) != self.num_rows:
             raise ValueError("mask length mismatch")
-        removed = self.num_rows - sum(1 for m in mask if m)
-        if removed:
-            for j, col in enumerate(self.columns):
-                self.columns[j] = [v for v, m in zip(col, mask) if m]
+        return self.delete_rows([i for i, m in enumerate(mask) if not m])
+
+    def delete_rows(self, positions: Sequence[int]) -> int:
+        """Remove the rows at ascending ``positions``; returns the count.
+
+        Compacts the columns (and the row-id map) around the removed rows
+        and unhooks exactly those rows from every index -- surviving rows
+        keep their row ids, so no index is rebuilt or renumbered.
+        """
+        removed = len(positions)
+        total = self.num_rows
+        if not removed:
+            return 0
+        mass = removed * _MASS_DELETE_FRACTION > total
+        if mass:
+            # nothing references a row id once the indexes are gone
+            self._indexes = {}
+            self._rids = None
+        elif any(index is not None for index in self._indexes.values()):
+            if self._rids is None:
+                self._rids = list(range(total))
+                self._next_rid = total
+            rids = self._rids
+            for (ci, _), index in self._indexes.items():
+                if index is not None:
+                    column = self.columns[ci]
+                    for position in positions:
+                        index.remove(column[position], rids[position])
+        vectors = self.columns if self._rids is None else [*self.columns, self._rids]
+        if mass:
+            dead = set(positions)
+            for vector in vectors:
+                vector[:] = [v for i, v in enumerate(vector) if i not in dead]
+        else:
+            for vector in vectors:
+                for position in reversed(positions):
+                    del vector[position]
         return removed
 
     def set_cell(self, name: str, row_index: int, value) -> None:
         """Overwrite one cell (UPDATE)."""
-        self.columns[self.schema.index_of(name)][row_index] = value
+        ci = self.schema.index_of(name)
+        column = self.columns[ci]
+        if self._indexes:
+            for kind in ("hash", "ordered"):
+                index = self._indexes.get((ci, kind))
+                if index is None:
+                    continue
+                old = column[row_index]
+                if old is value or old == value:
+                    break  # same bucket, same place in the order
+                rid = row_index if self._rids is None else self._rids[row_index]
+                index.remove(old, rid)
+                if not index.add(value, rid):
+                    self._indexes[(ci, kind)] = None
+        column[row_index] = value
 
     def __repr__(self) -> str:
         return f"Table({', '.join(self.schema.names)}; {self.num_rows} rows)"

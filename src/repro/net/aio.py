@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.engine.table import Table
 from repro.net import protocol
-from repro.net.client import _server_exception_types
+from repro.net.client import _server_exception_types, prepared_result
 from repro.obs.trace import SPANS_KEY, TRACE_KEY, current_span
 from repro.sql import ast
 
@@ -240,16 +240,14 @@ class AsyncRemoteServer:
         sql = query if isinstance(query, str) else query.to_sql()
         return int(await self._call("prepare", sql=sql, session=session))
 
-    async def execute_prepared(
-        self, stmt_id: int, params=(), session=None
-    ) -> tuple[int, int]:
+    async def execute_prepared(self, stmt_id: int, params=(), session=None):
         body = await self._call(
             "execute_prepared",
             stmt=stmt_id,
             params=[protocol.encode_value(p) for p in params],
             session=session,
         )
-        return int(body["result"]), int(body["num_rows"])
+        return prepared_result(body)
 
     async def fetch_rows(self, result_id: int, count=None) -> Table:
         return protocol.decode_value(

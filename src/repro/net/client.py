@@ -17,6 +17,7 @@ import threading
 import time
 
 from repro.api.exceptions import ShardUnavailableError
+from repro.engine.executor import ExecInfo, PreparedResult
 from repro.engine.table import Table
 from repro.net import protocol
 from repro.obs.trace import SPANS_KEY, TRACE_KEY, current_span
@@ -58,6 +59,16 @@ def _server_exception_types() -> dict:
     for name in ("ValueError", "KeyError", "TypeError", "RuntimeError"):
         registry[name] = getattr(builtins, name)
     return registry
+
+
+def prepared_result(body: dict) -> PreparedResult:
+    """An ``execute_prepared`` response body as the in-process return value
+    (``exec`` is absent from daemons that predate execution reports)."""
+    info = body.get("exec")
+    return PreparedResult(
+        int(body["result"]), int(body["num_rows"]),
+        ExecInfo.from_wire(info) if info is not None else None,
+    )
 
 
 class RemoteServer:
@@ -398,14 +409,14 @@ class RemoteServer:
 
     def execute_prepared(
         self, stmt_id: int, params=(), session=None
-    ) -> tuple[int, int]:
+    ) -> PreparedResult:
         body = self._call(
             "execute_prepared",
             stmt=stmt_id,
             params=[protocol.encode_value(p) for p in params],
             session=session,
         )
-        return int(body["result"]), int(body["num_rows"])
+        return prepared_result(body)
 
     def fetch_rows(self, result_id: int, count=None) -> Table:
         return protocol.decode_value(

@@ -16,6 +16,11 @@ value                  encoding
 ``Table``              ``{"$table": {"schema": [...], "columns": [...]}}``
 =====================  =========================================
 
+A query result additionally carries how the engine produced it as an
+optional ``"exec"`` key inside ``$table`` (and next to ``result`` in an
+``execute_prepared`` response); stored relations and legacy peers simply
+never have it.
+
 Shares are arbitrary-precision integers; Python's ``json`` round-trips
 those exactly, so no tagging is needed for them.
 
@@ -38,6 +43,7 @@ import socket
 import struct
 
 from repro.crypto.sies import SIESCiphertext
+from repro.engine.executor import ExecInfo
 from repro.engine.schema import ColumnSpec, DataType, Schema
 from repro.engine.table import Table
 
@@ -65,17 +71,18 @@ def encode_value(value):
     if isinstance(value, decimal.Decimal):
         return {"$dec": str(value)}
     if isinstance(value, Table):
-        return {
-            "$table": {
-                "schema": [
-                    [c.name, c.dtype.value, c.scale] for c in value.schema.columns
-                ],
-                "columns": [
-                    [encode_value(cell) for cell in column]
-                    for column in value.columns
-                ],
-            }
+        body = {
+            "schema": [
+                [c.name, c.dtype.value, c.scale] for c in value.schema.columns
+            ],
+            "columns": [
+                [encode_value(cell) for cell in column]
+                for column in value.columns
+            ],
         }
+        if value.exec_info is not None:
+            body["exec"] = value.exec_info.to_wire()
+        return {"$table": body}
     if isinstance(value, (list, tuple)):
         return [encode_value(item) for item in value]
     raise NetError(f"cannot encode {type(value).__name__} on the wire")
@@ -105,7 +112,10 @@ def decode_value(payload):
                 [decode_value(cell) for cell in column]
                 for column in body["columns"]
             ]
-            return Table(Schema(specs), columns)
+            table = Table.adopting(Schema(specs), columns)
+            if "exec" in body:
+                table.exec_info = ExecInfo.from_wire(body["exec"])
+            return table
         raise NetError(f"unknown tagged value: {sorted(payload)}")
     raise NetError(f"cannot decode {type(payload).__name__}")
 

@@ -389,11 +389,15 @@ class _RequestHandler(socketserver.BaseRequestHandler):
 
     def _op_execute_prepared(self, request: dict):
         params = [protocol.decode_value(p) for p in request.get("params", [])]
-        result_id, num_rows = self._sdb.execute_prepared(
+        result = self._sdb.execute_prepared(
             int(request["stmt"]), params, session=self._session_of(request)
         )
+        result_id, num_rows = result
         self._result_ids.add(result_id)
-        return {"result": result_id, "num_rows": num_rows}
+        response = {"result": result_id, "num_rows": num_rows}
+        if result.info is not None:
+            response["exec"] = result.info.to_wire()
+        return response
 
     def _op_fetch(self, request: dict):
         count = request.get("count")

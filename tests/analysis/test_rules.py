@@ -65,6 +65,14 @@ CASES = [
         "await-under-lock",
         {"lock_await.AsyncCache.bad_await_under_sync_lock"},
     ),
+    (
+        "lock_index_publish.py",
+        "mutation-under-read-lock",
+        {
+            "lock_index_publish.Shard.bad_maintain_under_read",
+            "lock_index_publish.Shard.bad_maintain_one_call_away",
+        },
+    ),
 ]
 
 
