@@ -57,14 +57,6 @@ def blocking(fn):
 # as the analyzer resolves them from imports; entries here complement the
 # decorators (decorated functions need no registry entry).
 
-#: Functions whose *return value* is sensitive plaintext.
-SOURCE_FUNCTIONS = frozenset(
-    {
-        # bound parameter plaintexts enter the AST here
-        "repro.sql.params.bind_parameters",
-    }
-)
-
 #: Functions whose output is safe for the SP even on tainted input.
 SANITIZER_FUNCTIONS = frozenset(
     {
@@ -152,6 +144,9 @@ SOURCE_PARAMS = frozenset(
         # shard-key plaintext enters routing here; the PRF sanitizes it
         ("repro.cluster.router.shard_bucket", "value"),
         ("repro.cluster.router.canonical_bytes", "value"),
+        # DML parameter plaintexts enter the AST here (the SP and the
+        # coordinator bind too, but what they bind arrived masked)
+        ("repro.api.statement.Statement.execute_dml", "params"),
     }
 )
 
@@ -198,6 +193,7 @@ BLOCKING_FUNCTIONS = frozenset(
         "socket.create_connection",
         "repro.net.protocol.send_message",
         "repro.net.protocol.recv_message",
+        "repro.net.protocol.recv_frame",
     }
 )
 

@@ -19,6 +19,7 @@ keeps the pass useful without a type checker.
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -111,6 +112,23 @@ def _decorator_role(node: ast.AST) -> tuple[Optional[str], bool]:
         elif declared is not None:
             role = declared
     return role, blocking
+
+
+@functools.cache
+def _wire_stub_sinks() -> frozenset:
+    """Client stub names whose arguments are serialized onto the wire.
+
+    The stubs are generated from the op table, so they have no bodies for
+    the taint pass to summarise; the table itself says which ones ship
+    their arguments (a ``value`` or ``sql`` field).
+    """
+    from repro.net.protocol import STUBS
+
+    return frozenset(
+        row.method
+        for row in STUBS
+        if any(f.codec in ("value", "sql") for f in row.fields)
+    )
 
 
 class Project:
@@ -268,8 +286,6 @@ class Project:
                 if target.role == "sink":
                     return "wire"
                 return target.role
-            if qual in contracts.SOURCE_FUNCTIONS:
-                return "source"
             if qual in contracts.SANITIZER_FUNCTIONS:
                 return "sanitizer"
             if qual in contracts.SINK_FUNCTIONS:
@@ -281,6 +297,10 @@ class Project:
                 return "sanitizer"
             if meth in contracts.SINK_METHODS:
                 return contracts.SINK_METHODS[meth]
+            # a generated stub never resolves to a def; a same-named
+            # method that does (``SDBServer.execute``) is not the wire
+            if meth in _wire_stub_sinks() and qual not in self.functions:
+                return "wire"
         return None
 
     def is_shared_mutation_call(self, call: ast.Call, fn: FunctionInfo) -> bool:

@@ -39,6 +39,7 @@ on a survivor).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from typing import Optional, Sequence
@@ -52,6 +53,7 @@ from repro.cluster.failover import (
     FailoverManager,
 )
 from repro.cluster.rebalance import RateLimiter
+from repro.net.protocol import STUBS
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import child_span
 
@@ -68,29 +70,6 @@ _READ_RETRIES = global_metrics().counter(
 _EVICTIONS = global_metrics().counter(
     "sdb_replica_evictions_total",
     "replica members evicted from their group",
-)
-
-#: Ops that mutate member state and therefore fan out to every healthy
-#: member.  Everything else routes to one member (reads).
-_WRITE_OPS = frozenset(
-    {
-        "store_table",
-        "drop_table",
-        "execute_dml",
-        "append_table",
-        "shard_store",
-        "begin",
-        "commit",
-        "rollback",
-        "txn_prepare",
-        "txn_finalize",
-        "txn_discard",
-        "shard_migrate_stage",
-        "shard_migrate_unstage",
-        "shard_migrate_promote",
-        "shard_migrate_purge",
-        "shard_migrate_abort",
-    }
 )
 
 
@@ -397,106 +376,21 @@ class ShardGroup:
             return result
 
     # -- the backend surface ---------------------------------------------------
-
-    def ping(self) -> bool:
-        return bool(self._read("ping"))
+    #
+    # Plain forwarders are generated below the class from each op's
+    # ``kind``; only the two probes that decorate their reply with the
+    # group's membership, and the handle-virtualising prepared-statement
+    # methods further down, are written out.
 
     def health(self) -> dict:
         out = dict(self._read("health"))
         out["replicas"] = self.replica_status()
         return out
 
-    def catalog_names(self) -> list:
-        return list(self._read("catalog_names"))
-
     def shard_status(self) -> dict:
         status = dict(self._read("shard_status"))
         status["replicas"] = self.replica_status()
         return status
-
-    def execute(self, query, session=None):
-        return self._read("execute", query, session=session)
-
-    def execute_partial(self, query, session=None):
-        return self._read("execute_partial", query, session=session)
-
-    def shard_dump(self, name, offset=None, count=None):
-        return self._read("shard_dump", name, offset=offset, count=count)
-
-    def session_stats(self):
-        return self._read("session_stats")
-
-    def shard_migrate_extract(self, *args, **kwargs):
-        # extraction is a pure read of the slice; every member computes
-        # the identical mover set
-        return self._read("shard_migrate_extract", *args, **kwargs)
-
-    def store_table(self, name, table, replace=False):
-        return self._write("store_table", name, table, replace=replace)
-
-    def drop_table(self, name):
-        return self._write("drop_table", name)
-
-    def execute_dml(self, statement, session=None):
-        return self._write("execute_dml", statement, session=session)
-
-    def append_table(self, name, table):
-        return self._write("append_table", name, table)
-
-    def shard_store(self, name, table, placement=None, replace=False):
-        return self._write(
-            "shard_store", name, table, placement=placement, replace=replace
-        )
-
-    def begin(self, session=None):
-        return self._write("begin", session=session)
-
-    def commit(self, session=None):
-        return self._write("commit", session=session)
-
-    def rollback(self, session=None):
-        return self._write("rollback", session=session)
-
-    # 2PC fan-out: every member stages/applies/discards the same delta,
-    # so a promoted replica's catalog already holds the decided state
-    def txn_prepare(self, token, session=None):
-        return self._write("txn_prepare", token, session=session)
-
-    def txn_finalize(self, token):
-        return self._write("txn_finalize", token)
-
-    def txn_discard(self, token=None):
-        return self._write("txn_discard", token)
-
-    def shard_migrate_stage(self, name, table, placement=None):
-        return self._write(
-            "shard_migrate_stage", name, table, placement=placement
-        )
-
-    def shard_migrate_unstage(self, name, num_chunks, chunk):
-        return self._write(
-            "shard_migrate_unstage", name, num_chunks, chunk
-        )
-
-    def shard_migrate_promote(self, name, placement=None):
-        return self._write(
-            "shard_migrate_promote", name, placement=placement
-        )
-
-    def shard_migrate_purge(
-        self, name, modulus, keep_index, placement=None, weights=None
-    ):
-        return self._write(
-            "shard_migrate_purge",
-            name,
-            modulus,
-            keep_index,
-            placement=placement,
-            weights=weights,
-        )
-
-    def shard_migrate_abort(self, name):
-        return self._write("shard_migrate_abort", name)
 
     def close(self) -> None:
         for member in self.members:
@@ -687,3 +581,14 @@ class ShardGroup:
                     break
                 offset += chunk.num_rows
                 first = False
+
+
+# Generated forwarders: reads route to one member, writes (2PC steps
+# included: a promoted replica must already hold the decided state) fan
+# out to all; control ops are a single daemon's own and have no group form.
+for _row in STUBS:
+    if _row.kind != "control" and _row.method not in vars(ShardGroup):
+        _route = ShardGroup._read if _row.kind == "read" else ShardGroup._write
+        setattr(
+            ShardGroup, _row.method, functools.partialmethod(_route, _row.method)
+        )

@@ -17,7 +17,7 @@ analysis of :mod:`repro.core.security` applies verbatim to a wire-tapper.
 """
 
 from repro.net.client import RemoteServer
-from repro.net.protocol import NetError, decode_value, encode_value
+from repro.net.protocol import NetError, RemoteError, decode_value, encode_value
 from repro.net.server import SDBNetServer, start_server
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "SDBNetServer",
     "start_server",
     "NetError",
+    "RemoteError",
     "encode_value",
     "decode_value",
 ]

@@ -3,7 +3,9 @@
 Wraps an :class:`repro.core.server.SDBServer` behind a TCP listener
 speaking the :mod:`repro.net.protocol` frame format.  The daemon is
 exactly as trusted as the in-process server -- i.e. not at all: it only
-ever sees encrypted uploads and rewritten queries.
+ever sees encrypted uploads and rewritten queries.  Every op is served by
+one generic decode -> call -> encode over its row of the op table
+(:data:`repro.net.protocol.OPS`); nothing here is per-op.
 
 Concurrency model: every connected client gets a reader thread, but the
 *work* runs on one shared thread pool keyed by **session**.  A request
@@ -27,7 +29,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Optional
 
-from repro.core.server import SDBServer
+from repro.core.server import SDBServer, ServerBusyError
 from repro.net import protocol
 from repro.obs.metrics import DEFAULT_BUCKETS, global_metrics, render_prometheus
 from repro.obs.slowlog import SlowQueryLog
@@ -99,15 +101,11 @@ class _RequestHandler(socketserver.BaseRequestHandler):
         # overflow request is answered immediately with a typed busy
         # error instead of growing the backlog without limit
         if not self.server.admit_session_request(session_key):
-            self._send({
-                "id": request_id,
-                "error": "ServerBusyError: server busy",
-                "error_type": "ServerBusyError",
-                "error_message": (
-                    "server busy: session queue full "
-                    f"(limit {self.server.max_session_queue})"
-                ),
-            })
+            busy = ServerBusyError(
+                "server busy: session queue full "
+                f"(limit {self.server.max_session_queue})"
+            )
+            self._send({"id": request_id, **protocol.error_response(busy)})
             return
 
         def task():
@@ -164,259 +162,56 @@ class _RequestHandler(socketserver.BaseRequestHandler):
         return response
 
     def _dispatch_inner(self, request: dict, op) -> dict:
+        """Decode -> call -> encode, all three from the op's table row."""
         try:
-            handler = getattr(self, f"_op_{op}", None)
-            if handler is None:
+            row = protocol.BY_OP.get(op)
+            if op == "txn":  # one wire op fans out to three methods
+                row = protocol.TXN_ACTIONS.get(request["action"])
+                if row is None:
+                    raise protocol.NetError(
+                        f"unknown transaction op {request['action']!r}"
+                    )
+            if row is None:
                 raise protocol.NetError(f"unknown operation {op!r}")
-            return {"ok": handler(request)}
+            args = row.arguments(request)
+            if row is protocol.INSERT_ROWS:
+                args = [_insert_statement(*args)]
+            target = self.server if row.kind == "control" else self._sdb
+            method = getattr(target, row.method)
+            if row.session:
+                result = method(*args, session=request.get("session"))
+            else:
+                result = method(*args)
+            self._track_handles(op, args, result)
+            return {"ok": row.encode_reply(result)}
         except Exception as exc:  # surface the failure to the caller
-            # the type name lets the client re-raise the same exception
-            # class, so error paths look identical to in-process execution
-            return {
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_type": type(exc).__name__,
-                "error_message": str(exc),
-            }
-
-    # -- operations ---------------------------------------------------------
+            return protocol.error_response(exc)
 
     @property
     def _sdb(self) -> SDBServer:
         return self.server.sdb_server
 
-    @staticmethod
-    def _session_of(request: dict):
-        return request.get("session")
+    def _track_handles(self, op, args, result) -> None:
+        """Keep the sets :meth:`finish` releases on disconnect current."""
+        if op == "prepare":
+            self._stmt_ids.add(result)
+        elif op == "execute_prepared":
+            self._result_ids.add(result[0])
+        elif op == "close_result":
+            self._result_ids.discard(args[0])
+        elif op == "close_prepared":
+            self._stmt_ids.discard(args[0])
 
-    def _op_ping(self, request: dict):
-        return "pong"
 
-    def _op_health(self, request: dict):
-        """Liveness + catch-up probe (replica failure detection)."""
-        return self._sdb.health()
-
-    def _op_store_table(self, request: dict):
-        table = protocol.decode_value(request["table"])
-        self._sdb.store_table(
-            request["name"], table, replace=bool(request.get("replace"))
-        )
-        return table.num_rows
-
-    def _op_drop_table(self, request: dict):
-        self._sdb.drop_table(request["name"])
-        return True
-
-    def _op_execute(self, request: dict):
-        result = self._sdb.execute(
-            request["sql"], session=self._session_of(request)
-        )
-        return protocol.encode_value(result)
-
-    def _op_execute_dml(self, request: dict):
-        return self._sdb.execute_dml(
-            request["sql"], session=self._session_of(request)
-        )
-
-    def _op_insert_rows(self, request: dict):
-        """Structured INSERT: rows whose cells cannot render as SQL text
-        (SIES ciphertexts in the hidden row-id column)."""
-        rows = [
-            tuple(protocol.decode_value(cell) for cell in row)
-            for row in request["rows"]
-        ]
-        statement = ast.Insert(
-            table=request["name"],
-            columns=tuple(request["columns"]) or None,
-            rows=tuple(
-                tuple(ast.Literal(cell) for cell in row) for row in rows
-            ),
-        )
-        return self._sdb.execute_dml(
-            statement, session=self._session_of(request)
-        )
-
-    def _op_txn(self, request: dict):
-        op = request["action"]
-        session = self._session_of(request)
-        if op == "begin":
-            self._sdb.begin(session=session)
-        elif op == "commit":
-            self._sdb.commit(session=session)
-        elif op == "rollback":
-            self._sdb.rollback(session=session)
-        else:
-            raise protocol.NetError(f"unknown transaction op {op!r}")
-        return True
-
-    def _op_txn_prepare(self, request: dict):
-        """Stage this session's write set under a token (2PC phase one)."""
-        return self._sdb.txn_prepare(
-            request["token"], session=self._session_of(request)
-        )
-
-    def _op_txn_finalize(self, request: dict):
-        return self._sdb.txn_finalize(request["token"])
-
-    def _op_txn_discard(self, request: dict):
-        return self._sdb.txn_discard(request.get("token"))
-
-    def _op_catalog(self, request: dict):
-        return self._sdb.catalog.names()
-
-    def _op_session_stats(self, request: dict):
-        """Per-session statement counters (ExecutionContext observability)."""
-        return {
-            str(key): stats
-            for key, stats in self._sdb.session_stats_snapshot().items()
-        }
-
-    def _op_epoch(self, request: dict):
-        return self._sdb.epoch
-
-    # -- observability ----------------------------------------------------------
-
-    def _op_metrics(self, request: dict):
-        """The process metrics registry as a JSON-able snapshot."""
-        return global_metrics().snapshot()
-
-    def _op_metrics_text(self, request: dict):
-        """The same registry in Prometheus text exposition format."""
-        return render_prometheus(global_metrics().snapshot())
-
-    def _op_slow_queries(self, request: dict):
-        """Entries from the daemon's slow-query log ([] when disabled)."""
-        return self.server.slowlog.entries()
-
-    # -- SHARD_* operations (cluster coordinator traffic) ----------------------
-    #
-    # A shard daemon is an ordinary SP daemon that additionally accepts
-    # placement-tagged stores, partial queries from a scatter, status
-    # probes and schema-exact dumps (the gather side of the fallback
-    # materialization).  It still never sees keys, plaintext of sensitive
-    # values, or the routing PRF -- only which slice it was handed.
-
-    def _op_shard_status(self, request: dict):
-        return self._sdb.shard_status()
-
-    def _op_shard_store(self, request: dict):
-        table = protocol.decode_value(request["table"])
-        return self._sdb.shard_store(
-            request["name"],
-            table,
-            placement=request.get("placement"),
-            replace=bool(request.get("replace")),
-        )
-
-    def _op_shard_dump(self, request: dict):
-        offset = request.get("offset")
-        count = request.get("count")
-        return protocol.encode_value(
-            self._sdb.shard_dump(
-                request["name"],
-                offset=None if offset is None else int(offset),
-                count=None if count is None else int(count),
-            )
-        )
-
-    def _op_append_table(self, request: dict):
-        table = protocol.decode_value(request["table"])
-        return self._sdb.append_table(request["name"], table)
-
-    def _op_shard_partial(self, request: dict):
-        return protocol.encode_value(
-            self._sdb.execute_partial(
-                request["sql"], session=self._session_of(request)
-            )
-        )
-
-    # -- SHARD_MIGRATE_* operations (elastic resharding) -----------------------
-    #
-    # The coordinator streams bucket chunks shard -> shard during an
-    # online topology change: extract movers (selected by stored routing
-    # residues), stage re-keyed rows invisibly, then promote/purge at the
-    # commit record.  The daemon still never sees keys or plaintext --
-    # staged rows arrive exactly as encrypted as stored ones.
-
-    def _op_shard_migrate_extract(self, request: dict):
-        return protocol.encode_value(
-            self._sdb.shard_migrate_extract(
-                request["name"],
-                int(request["num_chunks"]),
-                int(request["chunk"]),
-                int(request["old_modulus"]),
-                int(request["new_modulus"]),
-                old_weights=request.get("old_weights"),
-                new_weights=request.get("new_weights"),
-            )
-        )
-
-    def _op_shard_migrate_stage(self, request: dict):
-        table = protocol.decode_value(request["table"])
-        return self._sdb.shard_migrate_stage(
-            request["name"], table, placement=request.get("placement")
-        )
-
-    def _op_shard_migrate_unstage(self, request: dict):
-        return self._sdb.shard_migrate_unstage(
-            request["name"], int(request["num_chunks"]), int(request["chunk"])
-        )
-
-    def _op_shard_migrate_promote(self, request: dict):
-        return self._sdb.shard_migrate_promote(
-            request["name"], placement=request.get("placement")
-        )
-
-    def _op_shard_migrate_purge(self, request: dict):
-        return self._sdb.shard_migrate_purge(
-            request["name"],
-            int(request["modulus"]),
-            int(request["keep_index"]),
-            placement=request.get("placement"),
-            weights=request.get("weights"),
-        )
-
-    def _op_shard_migrate_abort(self, request: dict):
-        return self._sdb.shard_migrate_abort(request["name"])
-
-    # -- prepared statements / streaming fetch --------------------------------
-
-    def _op_prepare(self, request: dict):
-        stmt_id = self._sdb.prepare_query(
-            request["sql"], session=self._session_of(request)
-        )
-        self._stmt_ids.add(stmt_id)
-        return stmt_id
-
-    def _op_execute_prepared(self, request: dict):
-        params = [protocol.decode_value(p) for p in request.get("params", [])]
-        result = self._sdb.execute_prepared(
-            int(request["stmt"]), params, session=self._session_of(request)
-        )
-        result_id, num_rows = result
-        self._result_ids.add(result_id)
-        response = {"result": result_id, "num_rows": num_rows}
-        if result.info is not None:
-            response["exec"] = result.info.to_wire()
-        return response
-
-    def _op_fetch(self, request: dict):
-        count = request.get("count")
-        chunk = self._sdb.fetch_rows(
-            int(request["result"]), None if count is None else int(count)
-        )
-        return protocol.encode_value(chunk)
-
-    def _op_close_result(self, request: dict):
-        result_id = int(request["result"])
-        self._sdb.close_result(result_id)
-        self._result_ids.discard(result_id)
-        return True
-
-    def _op_close_prepared(self, request: dict):
-        stmt_id = int(request["stmt"])
-        self._sdb.close_prepared(stmt_id)
-        self._stmt_ids.discard(stmt_id)
-        return True
+def _insert_statement(name, columns, rows) -> ast.Insert:
+    """The ``insert_rows`` fields as the INSERT they stand for (its cells
+    -- SIES ciphertexts in the hidden row-id column -- cannot render as
+    SQL text)."""
+    return ast.Insert(
+        table=name,
+        columns=tuple(columns) or None,
+        rows=tuple(tuple(ast.Literal(cell) for cell in row) for row in rows),
+    )
 
 
 class SDBNetServer(socketserver.ThreadingTCPServer):
@@ -451,6 +246,27 @@ class SDBNetServer(socketserver.ThreadingTCPServer):
         self._session_pending: dict[str, int] = {}
         self._tails: dict[str, Future] = {}
         self._tails_lock = threading.Lock()
+
+    # -- control ops: answered by the daemon process, not the SDBServer -------
+
+    def session_stats(self) -> dict:
+        """Per-session statement counters (ExecutionContext observability)."""
+        return self.sdb_server.session_stats_snapshot()
+
+    def epoch(self) -> int:
+        return self.sdb_server.epoch
+
+    def metrics(self) -> dict:
+        """The process metrics registry as a JSON-able snapshot."""
+        return global_metrics().snapshot()
+
+    def metrics_text(self) -> str:
+        """The same registry in Prometheus text exposition format."""
+        return render_prometheus(global_metrics().snapshot())
+
+    def slow_queries(self) -> list:
+        """Entries from the daemon's slow-query log ([] when disabled)."""
+        return self.slowlog.entries()
 
     def admit_session_request(self, session_key: str) -> bool:
         """Reserve one slot on the session's bounded dispatch queue."""

@@ -24,6 +24,14 @@ CASES = [
         {"taint_wire.bad_ship_plaintext", "taint_wire.bad_ship_via_helper"},
     ),
     (
+        "taint_wire_stub.py",
+        "taint-to-wire",
+        {
+            "taint_wire_stub.bad_bind_plaintext",
+            "taint_wire_stub.bad_plaintext_in_sql",
+        },
+    ),
+    (
         "taint_storage.py",
         "taint-to-storage",
         {"taint_storage.bad_persist_plaintext"},

@@ -74,6 +74,7 @@ def test_async_bridge_conforms():
         try:
             bridge = remote.sync_backend()
             assert isinstance(bridge, Backend)
+            assert isinstance(bridge, ShardBackend)
         finally:
             await remote.aclose()
 

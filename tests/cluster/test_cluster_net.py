@@ -133,3 +133,65 @@ def test_direct_execute_uses_shard_partial_op(net_cluster):
     table = coord.execute("SELECT SUM(v) AS s FROM t")
     assert table.num_rows == 1
     assert coord.last_scatter.mode == "scatter"
+
+
+def test_coordinator_over_bridged_async_wires():
+    """Two asyncio wires, each behind its sync bridge, are full shards:
+    the same coordinator scatters over them and commits across them with
+    2PC (every op the blocking wire has, the asyncio wire has too)."""
+    import asyncio
+    import threading
+
+    from repro.net.aio import AsyncRemoteServer
+
+    daemons = [start_server(sdb_server=SDBServer())[0] for _ in range(2)]
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+
+    def on_loop(coro):
+        return asyncio.run_coroutine_threadsafe(coro, loop).result()
+
+    wires = [
+        on_loop(AsyncRemoteServer.connect("127.0.0.1", daemon.port))
+        for daemon in daemons
+    ]
+    conn = api.connect(
+        shards=[wire.sync_backend(loop) for wire in wires],
+        modulus_bits=256, value_bits=64, rng=seeded_rng(23),
+    )
+    try:
+        coord = conn.proxy.server
+        conn.proxy.create_table(
+            "t", COLUMNS, ROWS, sensitive=["v"], rng=seeded_rng(24),
+            shard_by="k",
+        )
+        cur = conn.cursor()
+        cur.execute("SELECT COUNT(*) AS n, SUM(v) AS s FROM t")
+        assert cur.fetchall() == [
+            (len(ROWS), pytest.approx(sum(v for _, _, v in ROWS)))
+        ]
+        assert coord.last_scatter.mode == "scatter"
+
+        conn.begin()
+        for k in (1, 2, 3, 4):  # spans both shards under shard_by="k"
+            conn.execute("UPDATE t SET v = v + ? WHERE k = ?", [100.0, k])
+        conn.commit()
+        written = [
+            shard for shard in coord.last_txn_commit["cardinalities"]
+            if any(shard.values())
+        ]
+        assert len(written) == 2
+        cur.execute("SELECT SUM(v) AS s FROM t")
+        assert cur.fetchall() == [
+            (pytest.approx(sum(v for _, _, v in ROWS) + 400.0),)
+        ]
+    finally:
+        conn.close()
+        conn.proxy.server.close()
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=5)
+        loop.close()
+        for daemon in daemons:
+            daemon.shutdown()
+            daemon.server_close()

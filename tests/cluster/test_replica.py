@@ -185,6 +185,40 @@ def test_deterministic_write_error_propagates_untranslated():
     assert all(m.state == "healthy" for m in group.members)
 
 
+def test_unmapped_remote_error_is_not_a_transport_failure():
+    """A daemon-side exception the wire client has no class for is still
+    the *request's* failure: it surfaces to the caller and no member of
+    the group is suspected or evicted for having answered."""
+    from repro.net import RemoteError, RemoteServer, start_server
+
+    class Broken(SDBServer):
+        def execute(self, query, session=None):
+            raise IndexError("list index out of range")
+
+        def drop_table(self, name):
+            raise IndexError("list index out of range")
+
+    daemons = [start_server(sdb_server=Broken(shard_id=0))[0] for _ in range(2)]
+    group = ShardGroup(
+        [RemoteServer.connect("127.0.0.1", d.port) for d in daemons]
+    )
+    try:
+        for call in (lambda: group.execute("SELECT 1"),
+                     lambda: group.drop_table("t")):
+            with pytest.raises(RemoteError) as info:
+                call()
+            assert info.value.error_type == "IndexError"
+            assert not isinstance(info.value, ConnectionError)
+            assert [m.state for m in group.members] == ["healthy", "healthy"]
+        assert [e.kind for e in group.failover.events] == []
+        assert group.ping()  # and the wires are still usable
+    finally:
+        group.close()
+        for daemon in daemons:
+            daemon.shutdown()
+            daemon.server_close()
+
+
 def test_promotion_survives_via_durable_record():
     injector = FaultInjector()
     groups = [

@@ -131,7 +131,9 @@ def test_remote_error_propagates(deployment):
     assert "missing_table" in str(excinfo.value)
 
 
-def test_unknown_error_type_falls_back_to_neterror(deployment):
+def test_unknown_operation_is_a_protocol_error(deployment):
+    """The daemon reports an op it does not serve as ``NetError`` (a peer
+    speaking another protocol), and the client rebuilds exactly that."""
     _, remote, _ = deployment
     with pytest.raises(NetError):
         remote._call("no_such_operation")
@@ -167,3 +169,73 @@ def test_two_proxies_share_one_sp():
     finally:
         net_server.shutdown()
         net_server.server_close()
+
+
+@pytest.mark.parametrize("surface", ["sync", "async", "bridge"])
+def test_transport_loss_and_use_after_close_are_typed_and_poison(surface):
+    """Every client surface reports a dead wire the same way: the call in
+    flight, every later call, and any call after close raise
+    ``ShardUnavailableError`` -- never a raw OSError or an endless wait."""
+    import asyncio
+    import socket
+    import threading
+
+    from repro.api.exceptions import ShardUnavailableError
+    from repro.net.aio import AsyncRemoteServer
+
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(2)
+    port = listener.getsockname()[1]
+
+    def hang_up_after_one_request():
+        for _ in range(2):
+            conn, _ = listener.accept()
+            conn.recv(4096)
+            conn.close()
+
+    peer = threading.Thread(target=hang_up_after_one_request, daemon=True)
+    peer.start()
+    loop = asyncio.new_event_loop()
+    loop_thread = threading.Thread(target=loop.run_forever, daemon=True)
+    loop_thread.start()
+
+    def run(coro):
+        return asyncio.run_coroutine_threadsafe(coro, loop).result()
+
+    def wire():
+        return run(AsyncRemoteServer.connect("127.0.0.1", port))
+
+    connect, ping, close = {
+        "sync": (
+            lambda: RemoteServer.connect("127.0.0.1", port),
+            lambda remote: remote.ping(),
+            lambda remote: remote.close(),
+        ),
+        "async": (
+            wire,
+            lambda remote: run(remote.ping()),
+            lambda remote: run(remote.aclose()),
+        ),
+        "bridge": (
+            lambda: wire().sync_backend(loop),
+            lambda bridge: bridge.ping(),
+            lambda bridge: bridge.close(),
+        ),
+    }[surface]
+    try:
+        lost = connect()
+        for _ in range(2):  # the loss itself, then the poisoned handle
+            with pytest.raises(ShardUnavailableError):
+                ping(lost)
+        close(lost)
+        closed = connect()
+        close(closed)
+        with pytest.raises(ShardUnavailableError):
+            ping(closed)
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        loop_thread.join(timeout=5)
+        loop.close()
+        peer.join(timeout=5)
+        listener.close()
