@@ -29,9 +29,14 @@ Execution routes one of four ways, recorded in :attr:`last_scatter`:
   and the primary executes it serially.  Correctness therefore never
   depends on the cluster path; sharding is purely an optimization.
 
-Prepared statements cache their route and, when every parameter binds
-inside the partial query, per-shard prepared handles -- an execute then
-ships only parameter bindings to each shard.
+Ad-hoc and prepared SELECTs run one path: classify the route, run the
+shard *legs* on the scatter pool, merge, report.  The leg rule: a
+prepared scatter/coshard statement's partial runs on per-shard prepared
+handles (an execute ships only the values whose markers occur in the
+partial; merge-side markers bind at the coordinator), and every other
+leg is one-shot -- an ad-hoc partial ships as ``execute_partial``, a
+primary or fallback query as one ``execute`` on the primary.  A prepared
+statement classifies and splits once, again only after a topology change.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from repro.cluster.rebalance import (
     ShardTopology,
 )
 from repro.cluster.planner import build_route_plan, choose_coshard_or_fallback
-from repro.cluster.replica import ShardGroup
+from repro.cluster.replica import ShardGroup, close_quietly
 from repro.cluster.router import routing_residue
 from repro.core.server import (
     BUCKET_COLUMN,
@@ -95,6 +100,7 @@ from repro.obs.metrics import COUNT_BUCKETS, global_metrics
 from repro.obs.slowlog import SlowQueryLog
 from repro.sql import ast
 from repro.sql.params import (
+    BindError,
     bind_parameters,
     num_parameters,
     transform_nodes,
@@ -208,7 +214,7 @@ class ScatterReport:
     failover: tuple = ()
     #: per-phase durations in seconds (``route_s``/``scatter_s``/
     #: ``merge_s``), folded into the session layer's QueryReport timing
-    #: section; None when the route had no timed phases
+    #: section; None on a report that was not executed (EXPLAIN)
     timings: Optional[dict] = None
 
 
@@ -239,6 +245,14 @@ def _weights_str(weights) -> str:
     return ",".join(str(int(w)) for w in (weights or ()))
 
 
+def _slice_placement(index: int, of: int, shard_by, colocate) -> dict:
+    """The placement record a shard stores with its slice of a table."""
+    return {
+        "index": index, "of": of, "shard_by": (shard_by or "").lower(),
+        "colocate": (colocate or "").lower(),
+    }
+
+
 def referenced_tables(statement) -> list[str]:
     """Every table name a statement references, subqueries included."""
     names: list[str] = []
@@ -267,108 +281,66 @@ def rename_tables(statement, mapping: dict):
 
 
 class _ClusterStatement:
-    """A coordinator-side prepared SELECT with a cached scatter plan."""
+    """A cluster SELECT with its cached route, split and shard handles.
+
+    :meth:`Coordinator.execute` runs a throwaway one; a prepared one lives
+    until closed, so its route is classified and its split planned once
+    per topology epoch.
+    """
 
     def __init__(self, query: ast.Select):
         self.query = query
+        self.arity = num_parameters(query)
         self.route: Optional[tuple] = None
         self.split: Optional[SplitPlan] = None
-        #: every parameter marker binds inside the partial query, so an
-        #: execution forwards bindings straight to per-shard handles
-        self.forwardable = False
-        #: per-shard prepared handles as (shard, handle) pairs -- pinned
-        #: to the backends that issued them, so a topology change can
-        #: never alias a stale handle onto a different shard
+        #: per-shard prepared handles of the partial as (shard, handle)
+        #: pairs -- pinned to the backends that issued them, so a topology
+        #: change can never alias a stale handle onto a different shard
         self.shard_handles: Optional[list[tuple]] = None
-        #: topology epoch the route/handles were planned against
+        #: topology epoch the route/split/handles were planned against
         self.topology_epoch: Optional[int] = None
-        # plan/handle initialization is once-per-statement; concurrent
-        # sessions executing the same prepared handle must not race it
+        # planning and handle preparation are once per statement;
+        # concurrent sessions executing the same handle must not race them
         self._plan_lock = threading.Lock()
 
-    def execute(
-        self, coordinator: "Coordinator", params: tuple, session=None
-    ) -> tuple[Table, "ScatterReport"]:
-        t_plan = time.perf_counter()
+    def plan(self, coordinator: "Coordinator") -> None:
+        """Classify and split, again only after a topology change."""
         with self._plan_lock:
             epoch = coordinator.topology.epoch
-            if self.route is not None and self.topology_epoch != epoch:
-                # the cluster was resharded under this statement: the
-                # cached route scatters over a shard set that no longer
-                # exists -- drop handles and re-plan against the new one
-                self._release_handles()
-                self.route = None
-                self.split = None
-                self.forwardable = False
-            if self.route is None:
-                self.topology_epoch = epoch
-                self.route = coordinator._classify(self.query)
-                if self.route[0] in ("scatter", "coshard"):
-                    self.split = coordinator._plan_scatter(
-                        self.query, self.route
-                    )
-                    total = num_parameters(self.query)
-                    self.forwardable = (
-                        num_parameters(self.split.partial) == total
-                        and num_parameters(self.split.merge) == 0
-                    )
-            if (
-                self.route[0] in ("scatter", "coshard")
-                and self.forwardable
-                and self.shard_handles is None
-            ):
-                self.shard_handles = [
-                    (shard, shard.prepare_query(self.split.partial))
-                    for shard in coordinator.shards
+            if self.route is not None and self.topology_epoch == epoch:
+                return
+            # (re)sharded under this statement: the cached route scatters
+            # over a shard set that no longer exists
+            self._release_handles()
+            self.topology_epoch = epoch
+            self.route = coordinator._classify(self.query)
+            self.split = None
+            if self.route[0] in ("scatter", "coshard"):
+                self.split = coordinator._plan_scatter(self.query, self.route)
+                used = {
+                    node.index
+                    for node in walk_nodes(self.split.partial)
+                    if isinstance(node, ast.Placeholder)
+                }
+                #: per marker position: does the partial bind it
+                self.partial_slots = [
+                    index in used for index in range(max(used, default=-1) + 1)
                 ]
-            # snapshot under the lock: a concurrent close_prepared nulls
-            # shard_handles, and an in-flight execute must fail with the
-            # server's typed unknown-statement error, never a TypeError
-            handles = self.shard_handles
-        route_s = time.perf_counter() - t_plan
-        parent = obs_trace.current_span()
-        if parent is not None:
-            parent.tracer.record_timed(
-                "route", parent, t_plan, t_plan + route_s, kind=self.route[0]
-            )
-        if self.route[0] in ("scatter", "coshard") and self.forwardable:
-            if self.route[0] == "coshard":
-                # handles bind at execute time, so a refreshed broadcast
-                # copy (same name, new rows) is picked up transparently
-                coordinator._ensure_broadcasts(self.route[1].dims)
-            t0 = time.perf_counter()
-            with obs_trace.child_span("scatter") as span:
-                partials = coordinator._scatter_prepared(
-                    handles, params, session=session
+                self.merge_arity = num_parameters(self.split.merge)
+
+    def handles(self, coordinator: "Coordinator") -> list[tuple]:
+        """The partial's per-shard handles, prepared in one parallel round."""
+        with self._plan_lock:
+            if self.shard_handles is None:
+                partial, shards = self.split.partial, list(coordinator.shards)
+                prepared = coordinator._pool.map(
+                    lambda shard: shard.prepare_query(partial), shards
                 )
-                span.set_attr("shards", len(partials))
-            t1 = time.perf_counter()
-            with obs_trace.child_span("merge") as span:
-                out = coordinator._merge(self.split.merge, partials)
-                span.set_attr("rows", out.num_rows)
-            t2 = time.perf_counter()
-            if self.route[0] == "coshard":
-                report = coordinator._coshard_report(self.split, self.route[1])
-            else:
-                report = coordinator._scatter_report_for(
-                    self.query, self.split, self.route
-                )
-            report = dc_replace(
-                report,
-                timings={
-                    "route_s": route_s,
-                    "scatter_s": t1 - t0,
-                    "merge_s": t2 - t1,
-                },
-            )
-            return out, report
-        bound = bind_parameters(self.query, params)
-        table, report = coordinator._run(bound, self.route, session=session)
-        if report.timings is not None:
-            report = dc_replace(
-                report, timings={**report.timings, "route_s": route_s}
-            )
-        return table, report
+                self.shard_handles = list(zip(shards, prepared))
+            # a snapshot: a concurrent close nulls shard_handles, and an
+            # in-flight execute must fail with the shard's typed
+            # unknown-statement error, never a TypeError
+            return self.shard_handles
 
     def _release_handles(self) -> None:
         handles, self.shard_handles = self.shard_handles, None
@@ -378,7 +350,7 @@ class _ClusterStatement:
             except Exception:
                 pass  # shard already gone
 
-    def close(self, coordinator: "Coordinator") -> None:
+    def close(self) -> None:
         with self._plan_lock:  # serialize against in-flight planning
             self._release_handles()
 
@@ -436,11 +408,11 @@ class Coordinator:
         #: (epoch, {table: rows}) cost-model cardinality cache
         self._card_cache: Optional[tuple] = None
         self._prepared: dict[int, _ClusterStatement] = {}
-        self._results: dict[int, _MaterializedResult] = {}
-        #: per-result routing reports: the session layer attributes scatter
-        #: leakage to the execution that caused it, not to whichever query
-        #: a concurrent session ran last (last_scatter is a global)
-        self._scatter_by_result: dict[int, ScatterReport] = {}
+        #: result id -> (materialized result, routing report): the session
+        #: layer attributes scatter leakage to the execution that caused
+        #: it, not to whichever query a concurrent session ran last
+        #: (last_scatter is a global)
+        self._results: dict[int, tuple] = {}
         self._handle_ids = itertools.count(1)
         # Readers-writer execution lock: read-only statements (scatter,
         # primary, fallback SELECTs) from *different sessions* run
@@ -524,7 +496,7 @@ class Coordinator:
         relations without a commit record belong to a rebalance that never
         committed: the old topology wins and they are dropped.
         """
-        names = self._primary_table_names()
+        names = self._shard_table_names(self.primary)
         # adopt the persisted shape *before* any roll-forward: the commit
         # completion bumps from the adopted epoch, so a recovered epoch
         # stays monotone across coordinator generations
@@ -601,22 +573,15 @@ class Coordinator:
             colocate = self._colocate_of(table)
             for index in range(new_n):
                 step(f"commit:promote:{table}:{index}")
-                placement = {
-                    "index": index, "of": new_n, "shard_by": shard_by or "",
-                    "colocate": colocate,
-                }
                 self.shards[index].shard_migrate_promote(
-                    table, placement=placement
+                    table,
+                    placement=_slice_placement(index, new_n, shard_by, colocate),
                 )
             for index in range(max(old_n, new_n)):
                 step(f"commit:purge:{table}:{index}")
                 placement = None
                 if index < new_n:
-                    placement = {
-                        "index": index, "of": new_n,
-                        "shard_by": shard_by or "",
-                        "colocate": colocate,
-                    }
+                    placement = _slice_placement(index, new_n, shard_by, colocate)
                 self.shards[index].shard_migrate_purge(
                     table, new_n, index, placement=placement,
                     weights=new_weights or None,
@@ -638,12 +603,7 @@ class Coordinator:
             epoch=epoch, shard_count=new_n, weights=new_weights
         )
         for backend in removed:
-            closer = getattr(backend, "close", None)
-            if callable(closer):
-                try:
-                    closer()
-                except Exception:
-                    pass
+            close_quietly(backend)
 
     def _store_topology(
         self, epoch: int, shard_count: int, weights: tuple = ()
@@ -697,7 +657,7 @@ class Coordinator:
         groups = self._replica_groups()
         if not groups:
             return
-        if REPLICAS_TABLE not in self._primary_table_names():
+        if REPLICAS_TABLE not in self._shard_table_names(self.primary):
             return
         record = self.primary.shard_dump(REPLICAS_TABLE)
         primaries, generation = parse_replicas_record(record)
@@ -829,12 +789,9 @@ class Coordinator:
                 shard.shard_store(
                     name,
                     stored.take(indices),
-                    placement={
-                        "index": index,
-                        "of": count,
-                        "shard_by": shard_column.lower(),
-                        "colocate": (colocate or "").lower(),
-                    },
+                    placement=_slice_placement(
+                        index, count, shard_column, colocate
+                    ),
                     replace=replace,
                 )
             self._placements[name.lower()] = Placement(
@@ -925,28 +882,148 @@ class Coordinator:
         """
         if isinstance(query, str):
             query = parse(query)
+        return self._select(_ClusterStatement(query), None, session)[0]
+
+    def _select(
+        self, statement: _ClusterStatement, params: Optional[tuple], session
+    ) -> tuple[Table, ScatterReport]:
+        """The one cluster SELECT path: route, shard legs, merge, report.
+
+        ``params`` is None for an ad-hoc (fully bound) query, else the
+        prepared execution's values.  ``session`` rides to the shards so
+        a reader inside its own transaction sees that transaction's write
+        set (each shard keys the overlay engine by session); every other
+        session's reads hit only committed state.
+        """
         t_start = time.perf_counter()
         with self._admit(session), self._lock.read_locked():
             mark = self.failover.mark()
             t0 = time.perf_counter()
-            route = self._classify(query)
+            statement.plan(self)
+            (kind, extra), split = statement.route, statement.split
             t1 = time.perf_counter()
             parent = obs_trace.current_span()
             if parent is not None:
-                parent.tracer.record_timed(
-                    "route", parent, t0, t1, kind=route[0]
-                )
-            table, report = self._run(query, route, session=session)
-            timings = dict(report.timings or ())
-            timings["route_s"] = t1 - t0
-            report = dc_replace(report, timings=timings)
-            self.last_scatter = self._with_failover(report, mark)
+                parent.tracer.record_timed("route", parent, t0, t1, kind=kind)
+            if split is None:
+                # one-shot leg: the whole query on the primary shard
+                query = statement.query
+                if params is not None:
+                    query = bind_parameters(query, params)
+                if kind == "fallback":
+                    # NB: the materialized copies gather *committed* slices,
+                    # so a fallback query inside a transaction reads
+                    # committed state for sharded tables (primary-resident
+                    # tables still see the overlay)
+                    query = rename_tables(
+                        query, {name: self._materialize(name) for name in extra}
+                    )
+                table = self.primary.execute(query, session=session)
+                t2 = t3 = time.perf_counter()
+            else:
+                with obs_trace.child_span("scatter") as span:
+                    partials = self._scatter(statement, params, session)
+                    span.set_attr("shards", len(partials))
+                t2 = time.perf_counter()
+                merge = split.merge
+                if params is not None:
+                    merge = bind_parameters(merge, params[: statement.merge_arity])
+                with obs_trace.child_span("merge") as span:
+                    table = self._merge(merge, partials)
+                    span.set_attr("rows", table.num_rows)
+                t3 = time.perf_counter()
+            report = dc_replace(
+                self._with_failover(
+                    self._report(statement.query, statement.route, split), mark
+                ),
+                timings={
+                    "route_s": t1 - t0,
+                    "scatter_s": t2 - t1,
+                    "merge_s": t3 - t2,
+                },
+            )
+            self.last_scatter = report
         self.slowlog.maybe_record(
             time.perf_counter() - t_start,
             f"cluster-{report.mode}",
             f"route={report.mode} shards={report.shards} ({report.reason})",
         )
-        return table
+        return table, report
+
+    def _scatter(
+        self, statement: _ClusterStatement, params: Optional[tuple], session
+    ) -> list[Table]:
+        """Every shard's partial, one leg per shard on the scatter pool.
+
+        Ad hoc, a leg ships the partial (``execute_partial``); prepared,
+        it runs the shard's handle.  A leg failing with
+        :class:`ShardUnavailableError` runs once more: a replica died
+        mid-leg and its group promoted a survivor, which the retry reaches
+        (a bare backend that is truly gone fails again and the typed
+        error surfaces).
+        """
+        kind, extra = statement.route
+        if kind == "coshard":
+            # handles bind at execute time, so a refreshed broadcast copy
+            # (same name, new rows) is picked up transparently
+            self._ensure_broadcasts(extra.dims)
+        if params is None:
+            partial = statement.split.partial
+            # mid-migration the leg set is the union of old and incoming
+            # shards (incoming live slices are empty until the commit), so
+            # every row is seen exactly once regardless of migration progress
+            legs = [(shard, None) for shard in self.shards]
+
+            def run(shard, _):
+                return shard.execute_partial(partial, session=session)
+        else:
+            legs = statement.handles(self)
+            # a value reaches the shards only if its marker occurs in the
+            # partial; merge-side positions travel as NULL
+            values = [
+                value if used else None
+                for value, used in zip(params, statement.partial_slots)
+            ]
+
+            def run(shard, handle):
+                result_id, _ = shard.execute_prepared(
+                    handle, values, session=session
+                )
+                try:
+                    return shard.fetch_rows(result_id, None)
+                finally:
+                    try:
+                        shard.close_result(result_id)
+                    except Exception:
+                        pass
+
+        _SCATTER_FANOUT.observe(len(legs))
+        # pool threads do not inherit the ambient context: capture the
+        # parent span here and re-open a child inside each task (whose
+        # context manager makes it ambient for the shard's wire call)
+        parent = obs_trace.current_span()
+
+        def task(indexed):
+            index, (shard, handle) = indexed
+            cm = (
+                parent.tracer.span("shard", parent=parent)
+                if parent is not None
+                else obs_trace.NOOP_SPAN
+            )
+            with cm as span:
+                span.set_attr("shard", index)
+                try:
+                    table = run(shard, handle)
+                except ShardUnavailableError:
+                    span.set_attr("retried", 1)
+                    table = run(shard, handle)
+                span.set_attr("rows", table.num_rows)
+                return table
+
+        indexed = list(enumerate(legs))
+        if len(indexed) == 1:
+            return [task(indexed[0])]
+        return list(self._pool.map(task, indexed))
 
     def _with_failover(
         self, report: ScatterReport, mark: int
@@ -1045,116 +1122,6 @@ class Coordinator:
             )
         return split
 
-    def _run(
-        self, query: ast.Select, route: tuple, session=None
-    ) -> tuple[Table, ScatterReport]:
-        # ``session`` rides to the shards so a reader inside its own
-        # transaction sees that transaction's write set (each shard keys
-        # the overlay engine by session); every other session's reads hit
-        # only committed state
-        kind, extra = route
-        if kind == "primary":
-            report = ScatterReport(
-                mode="primary",
-                shards=1,
-                reason="no sharded table referenced",
-            )
-            return self.primary.execute(query, session=session), report
-        if kind in ("scatter", "coshard"):
-            split = self._plan_scatter(query, route)
-            if kind == "coshard":
-                self._ensure_broadcasts(extra.dims)
-            t0 = time.perf_counter()
-            with obs_trace.child_span("scatter") as span:
-                partials = self._scatter(split.partial, session=session)
-                span.set_attr("shards", len(partials))
-            t1 = time.perf_counter()
-            with obs_trace.child_span("merge") as span:
-                out = self._merge(split.merge, partials)
-                span.set_attr("rows", out.num_rows)
-            t2 = time.perf_counter()
-            if kind == "coshard":
-                report = self._coshard_report(split, extra)
-            else:
-                report = self._scatter_report_for(query, split, route)
-            report = dc_replace(
-                report, timings={"scatter_s": t1 - t0, "merge_s": t2 - t1}
-            )
-            return out, report
-        return self._run_fallback(query, extra, session=session)
-
-    def _scatter(self, partial: ast.Select, session=None) -> list[Table]:
-        # mid-migration the scatter set is the union of old and incoming
-        # shards (incoming live slices are empty until the commit), so
-        # every row is seen exactly once regardless of migration progress
-        _SCATTER_FANOUT.observe(len(self.shards))
-        # pool threads do not inherit the ambient context: capture the
-        # parent span here and re-open a child inside each task (whose
-        # context manager makes it ambient for the shard's wire call)
-        parent = obs_trace.current_span()
-
-        def run(pair):
-            index, shard = pair
-            cm = (
-                parent.tracer.span("shard", parent=parent)
-                if parent is not None
-                else obs_trace.NOOP_SPAN
-            )
-            with cm as span:
-                table = shard.execute_partial(partial, session=session)
-                span.set_attr("shard", index)
-                span.set_attr("rows", table.num_rows)
-                return table
-
-        if len(self.shards) == 1:
-            return [run((0, self.shards[0]))]
-        return list(self._pool.map(run, enumerate(self.shards)))
-
-    def _scatter_prepared(
-        self, handles: list[tuple], params: Sequence, session=None
-    ) -> list[Table]:
-        parent = obs_trace.current_span()
-
-        def run_once(pair):
-            shard, handle = pair
-            result_id, _ = shard.execute_prepared(
-                handle, list(params), session=session
-            )
-            try:
-                return shard.fetch_rows(result_id, None)
-            finally:
-                try:
-                    shard.close_result(result_id)
-                except Exception:
-                    pass
-
-        def run(indexed):
-            index, pair = indexed
-            cm = (
-                parent.tracer.span("shard", parent=parent)
-                if parent is not None
-                else obs_trace.NOOP_SPAN
-            )
-            with cm as span:
-                span.set_attr("shard", index)
-                try:
-                    table = run_once(pair)
-                except ShardUnavailableError:
-                    # a replica died mid-fetch and its group promoted a
-                    # survivor: one transparent retry re-executes against
-                    # the promoted member (a bare backend that is truly
-                    # gone fails again and the typed error surfaces)
-                    span.set_attr("retried", 1)
-                    table = run_once(pair)
-                span.set_attr("rows", table.num_rows)
-                return table
-
-        pairs = list(enumerate(handles))
-        _SCATTER_FANOUT.observe(len(pairs))
-        if len(pairs) == 1:
-            return [run(pairs[0])]
-        return list(self._pool.map(run, pairs))
-
     def _merge(self, merge_query: ast.Select, partials: list[Table]) -> Table:
         union = concat_tables(partials)
         catalog = Catalog()
@@ -1193,16 +1160,9 @@ class Coordinator:
         if key.name.lower() != placement.shard_column:
             return False
         # no subqueries anywhere (they could read other, unsliced tables)
-        roots = [item.expr for item in query.items]
-        roots += [e for e in (query.where, query.having) if e is not None]
-        roots += list(query.group_by)
-        roots += [o.expr for o in query.order_by]
-        for root in roots:
-            for node in ast.walk(root):
-                if isinstance(
-                    node, (ast.ScalarSubquery, ast.InSubquery, ast.Exists)
-                ):
-                    return False
+        subquery = (ast.ScalarSubquery, ast.InSubquery, ast.Exists)
+        if any(isinstance(node, subquery) for node in walk_nodes(query)):
+            return False
         return merge_order_resolvable(query)
 
     # -- co-sharded joins ------------------------------------------------------
@@ -1285,23 +1245,19 @@ class Coordinator:
                 x = parent[x]
             return x
 
-        roots = list(join_conditions(query.from_clause))
-        if query.where is not None:
-            roots.append(query.where)
-        conjuncts = []
-        while roots:
-            node = roots.pop()
-            if isinstance(node, ast.BinaryOp) and node.op == "and":
-                roots.extend((node.left, node.right))
-            else:
-                conjuncts.append(node)
-        for conjunct in conjuncts:
-            if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
+        # flatten the AND-trees of every join condition and the WHERE
+        pending = [*join_conditions(query.from_clause), query.where]
+        while pending:
+            node = pending.pop()
+            if not isinstance(node, ast.BinaryOp):
                 continue
-            left = self._shard_key_binding(conjunct.left, sharded_bindings)
-            right = self._shard_key_binding(conjunct.right, sharded_bindings)
-            if left is not None and right is not None and left != right:
-                parent[find(left)] = find(right)
+            if node.op == "and":
+                pending.extend((node.left, node.right))
+            elif node.op == "=":
+                left = self._shard_key_binding(node.left, sharded_bindings)
+                right = self._shard_key_binding(node.right, sharded_bindings)
+                if left is not None and right is not None and left != right:
+                    parent[find(left)] = find(right)
         return len({find(binding) for binding in sharded_bindings}) == 1
 
     @staticmethod
@@ -1363,13 +1319,11 @@ class Coordinator:
                 # stream the dim table chunk by chunk: each window ships to
                 # every shard (in parallel) before the next is fetched, so
                 # the coordinator holds one bounded chunk at a time
-                first = True
-                for chunk in _gather_chunks(self.primary, name):
-                    if not first and not chunk.num_rows:
+                for index, chunk in enumerate(_gather_chunks(self.primary, name)):
+                    if index and not chunk.num_rows:
                         break
-                    replace = first
 
-                    def ship(shard, c=chunk, replace=replace):
+                    def ship(shard, c=chunk, replace=not index):
                         # per-shard copy: in-process shards would otherwise
                         # alias one Table object and appends would double up
                         copy = c.slice(0)
@@ -1379,7 +1333,6 @@ class Coordinator:
                             shard.append_table(target, copy)
 
                     list(self._pool.map(ship, self.shards))
-                    first = False
                 self._broadcast.add(name.lower())
 
     @staticmethod
@@ -1389,21 +1342,59 @@ class Coordinator:
             return set(names_fn())
         return set(shard.catalog.names())
 
-    def _coshard_report(
-        self, split: SplitPlan, info: CoshardInfo
+    def _report(
+        self, query: ast.Select, route: tuple, split: Optional[SplitPlan]
     ) -> ScatterReport:
-        joined = ", ".join(info.sharded)
+        """How ``query`` runs under ``route`` (and what that route leaks)."""
+        kind, extra = route
         scattered = len(self.shards)
+        if kind == "primary":
+            return ScatterReport(
+                mode="primary", shards=1, reason="no sharded table referenced"
+            )
+        if kind == "scatter":
+            if extra == "pushdown":
+                reason = (
+                    "shard-local GROUP BY pushdown (group key is the shard "
+                    f"key) over {scattered} shard(s)"
+                )
+            else:
+                reason = f"partial {split.kind} over {scattered} shard(s)"
+            return ScatterReport(
+                mode="scatter",
+                shards=scattered,
+                reason=reason,
+                leakage=(
+                    "cluster: each shard sees the partial query over its PRF "
+                    f"bucket slice of {query.from_clause.name.lower()!r} "
+                    "(per-shard cardinalities)",
+                ),
+            )
+        if kind == "fallback":
+            return ScatterReport(
+                mode="fallback",
+                shards=self.num_shards,
+                reason=(
+                    "non-shardable query; gathered "
+                    f"{', '.join(sorted(extra))} to the primary shard"
+                ),
+                leakage=tuple(
+                    f"cluster: full (encrypted) copy of {name!r} broadcast "
+                    "to the primary shard for this query"
+                    for name in sorted(extra)
+                ),
+            )
+        joined = ", ".join(extra.sharded)
         leakage = [
             f"cluster: each shard sees the partial join over its "
             f"co-located slices of {joined} (per-shard cardinalities)",
         ]
-        if info.group:
+        if extra.group:
             leakage.append(
-                f"cluster: colocation group {info.group!r} reveals "
+                f"cluster: colocation group {extra.group!r} reveals "
                 "cross-table co-residency of equal shard-key values"
             )
-        for name in info.dims:
+        for name in extra.dims:
             leakage.append(
                 f"cluster: full (encrypted) copy of {name!r} broadcast to "
                 "every shard for this join"
@@ -1417,52 +1408,6 @@ class Coordinator:
             ),
             leakage=tuple(leakage),
         )
-
-    def _scatter_report_for(
-        self, query: ast.Select, split: SplitPlan, route: tuple
-    ) -> ScatterReport:
-        table_name = query.from_clause.name.lower()
-        scattered = len(self.shards)
-        if route[1] == "pushdown":
-            reason = (
-                f"shard-local GROUP BY pushdown (group key is the shard key) "
-                f"over {scattered} shard(s)"
-            )
-        else:
-            reason = f"partial {split.kind} over {scattered} shard(s)"
-        return ScatterReport(
-            mode="scatter",
-            shards=scattered,
-            reason=reason,
-            leakage=(
-                f"cluster: each shard sees the partial query over its PRF "
-                f"bucket slice of {table_name!r} (per-shard cardinalities)",
-            ),
-        )
-
-    def _run_fallback(
-        self, query: ast.Select, sharded_names: tuple, session=None
-    ) -> tuple[Table, ScatterReport]:
-        # NB: the materialized copies gather *committed* slices, so a
-        # fallback query inside a transaction reads committed state for
-        # sharded tables (primary-resident tables still see the overlay)
-        mapping = {name: self._materialize(name) for name in sharded_names}
-        renamed = rename_tables(query, mapping)
-        gathered = ", ".join(sorted(sharded_names))
-        report = ScatterReport(
-            mode="fallback",
-            shards=self.num_shards,
-            reason=(
-                "non-shardable query; gathered "
-                f"{gathered} to the primary shard"
-            ),
-            leakage=tuple(
-                f"cluster: full (encrypted) copy of {name!r} broadcast to "
-                "the primary shard for this query"
-                for name in sorted(sharded_names)
-            ),
-        )
-        return self.primary.execute(renamed, session=session), report
 
     def _materialize(self, name: str) -> str:
         """Gather every slice of ``name`` onto the primary; cached until DML.
@@ -1480,7 +1425,7 @@ class Coordinator:
         # readers keeps DML invalidation race-free against it
         with self._mat_lock:
             if name.lower() in self._materialized:
-                if full_name in self._primary_table_names():
+                if full_name in self._shard_table_names(self.primary):
                     return full_name
                 self._materialized.discard(name.lower())
             # streamed gather: fetch every shard's first window in parallel
@@ -1496,12 +1441,10 @@ class Coordinator:
                     self.shards,
                 )
             )
-            stored = False
-            for shard, head in zip(self.shards, heads):
-                if not stored:
+            for index, (shard, head) in enumerate(zip(self.shards, heads)):
+                if not index:
                     # first chunk carries the schema even when empty
                     self.primary.store_table(full_name, head, replace=True)
-                    stored = True
                 elif head.num_rows:
                     self.primary.append_table(full_name, head)
                 if head.num_rows == GATHER_CHUNK_ROWS:
@@ -1513,12 +1456,6 @@ class Coordinator:
                         self.primary.append_table(full_name, chunk)
             self._materialized.add(name.lower())
             return full_name
-
-    def _primary_table_names(self) -> set:
-        names_fn = getattr(self.primary, "catalog_names", None)
-        if callable(names_fn):  # remote primary: the CATALOG wire op
-            return set(names_fn())
-        return set(self.primary.catalog.names())
 
     def _invalidate_materialized(self, name: str) -> None:
         # drop unconditionally, not gated on this coordinator's own cache
@@ -1852,48 +1789,36 @@ class Coordinator:
     ) -> tuple[int, int]:
         """Execute a prepared SELECT; read-only against the cluster.
 
-        The scatter itself runs under the shared side of the execution
-        lock, so prepared executions from different sessions overlap on
-        the shard pool; each execution's routing report is recorded per
-        result id (never via the racy ``last_scatter`` global).
+        Runs the same path as :meth:`execute`; the routing report is also
+        recorded per result id (never only via the racy ``last_scatter``
+        global), so a session reads the report of its own execution.
         """
         with self._state_lock:
             try:
                 statement = self._prepared[stmt_id]
             except KeyError:
                 raise KeyError(f"unknown prepared statement {stmt_id}") from None
-        t_start = time.perf_counter()
-        with self._admit(session), self._lock.read_locked():
-            mark = self.failover.mark()
-            table, report = statement.execute(
-                self, tuple(params), session=session
+        params = tuple(params)
+        if len(params) != statement.arity:
+            raise BindError(
+                f"statement expects {statement.arity} parameter(s), "
+                f"got {len(params)}"
             )
-            if report is not None:
-                report = self._with_failover(report, mark)
-        if report is not None:
-            self.slowlog.maybe_record(
-                time.perf_counter() - t_start,
-                f"cluster-{report.mode}",
-                f"route={report.mode} shards={report.shards} "
-                f"({report.reason})",
-            )
+        table, report = self._select(statement, params, session)
         with self._state_lock:
             result_id = next(self._handle_ids)
-            self._results[result_id] = _MaterializedResult(table)
-            if report is not None:
-                self._scatter_by_result[result_id] = report
-        self.last_scatter = report
+            self._results[result_id] = (_MaterializedResult(table), report)
         return result_id, table.num_rows
 
     def scatter_report(self, result_id: int) -> Optional[ScatterReport]:
         """The routing report of the execution that produced ``result_id``."""
         with self._state_lock:
-            return self._scatter_by_result.get(result_id)
+            return self._results.get(result_id, (None, None))[1]
 
     def fetch_rows(self, result_id: int, count: Optional[int] = None) -> Table:
         with self._state_lock:
             try:
-                entry = self._results[result_id]
+                entry, _ = self._results[result_id]
             except KeyError:
                 raise KeyError(f"unknown result set {result_id}") from None
         # materialized results fetch lock-free: the table was computed
@@ -1903,13 +1828,12 @@ class Coordinator:
     def close_result(self, result_id: int) -> None:
         with self._state_lock:
             self._results.pop(result_id, None)
-            self._scatter_by_result.pop(result_id, None)
 
     def close_prepared(self, stmt_id: int) -> None:
         with self._state_lock:
             statement = self._prepared.pop(stmt_id, None)
         if statement is not None:
-            statement.close(self)
+            statement.close()
 
     # -- elastic resharding (driven by repro.cluster.rebalance) -----------------
     #
@@ -1959,13 +1883,12 @@ class Coordinator:
                         backend.shard_store(
                             name,
                             empty,
-                            placement={
-                                "index": index,
-                                "of": plan.new_count,
-                                "shard_by": self._placements[name].shard_column
-                                or "",
-                                "colocate": self._colocate_of(name),
-                            },
+                            placement=_slice_placement(
+                                index,
+                                plan.new_count,
+                                self._placements[name].shard_column,
+                                self._colocate_of(name),
+                            ),
                             replace=True,
                         )
                 for offset, backend in enumerate(joining):
@@ -2037,12 +1960,10 @@ class Coordinator:
                     self.shards[dst].shard_migrate_stage(
                         table,
                         rekeyed.take(indices),
-                        placement={
-                            "index": dst,
-                            "of": plan.new_count,
-                            "shard_by": shard_by or "",
-                            "colocate": self._colocate_of(table),
-                        },
+                        placement=_slice_placement(
+                            dst, plan.new_count, shard_by,
+                            self._colocate_of(table),
+                        ),
                     )
                     migration.record_move(table, chunk, src, dst, len(indices))
                     moved += len(indices)
@@ -2102,7 +2023,7 @@ class Coordinator:
         """
         with self._lock.write_locked():
             migration, self._migration = self._migration, None
-            names = self._primary_table_names()
+            names = self._shard_table_names(self.primary)
             if COMMIT_TABLE in names:
                 self._roll_forward_commit()
                 self._epoch += 1
@@ -2141,12 +2062,7 @@ class Coordinator:
                             backend.drop_table(table)
                         except Exception:
                             pass
-                    closer = getattr(backend, "close", None)
-                    if callable(closer):
-                        try:
-                            closer()
-                        except Exception:
-                            pass
+                    close_quietly(backend)
             self._epoch += 1
             return "back" if migration is not None else "none"
 

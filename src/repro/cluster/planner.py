@@ -114,7 +114,7 @@ def build_route_plan(coordinator, query, route: tuple) -> PlanNode:
         )
     if kind == "scatter":
         split = coordinator._plan_scatter(query, route)
-        report = coordinator._scatter_report_for(query, split, route)
+        report = coordinator._report(query, route, split)
         table = query.from_clause.name.lower()
         return PlanNode(
             op="scatter",
@@ -133,7 +133,7 @@ def build_route_plan(coordinator, query, route: tuple) -> PlanNode:
     if kind == "coshard":
         info = extra
         split = coordinator._plan_scatter(query, route)
-        report = coordinator._coshard_report(split, info)
+        report = coordinator._report(query, route, split)
         choice = choose_coshard_or_fallback(info, cards, num_shards)
         children = [
             PlanNode(
@@ -190,11 +190,7 @@ def build_route_plan(coordinator, query, route: tuple) -> PlanNode:
             f"{', '.join(sharded_names)} gathered to the primary shard"
         ),
         props={"shards": num_shards},
-        leakage=tuple(
-            f"cluster: full (encrypted) copy of {name!r} broadcast to "
-            "the primary shard for this query"
-            for name in sharded_names
-        ),
+        leakage=coordinator._report(query, route, None).leakage,
         children=children
         + (
             PlanNode(

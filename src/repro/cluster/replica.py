@@ -96,6 +96,25 @@ def is_transport_error(exc: BaseException) -> bool:
     return isinstance(exc, (ShardUnavailableError, ConnectionError, OSError))
 
 
+def close_quietly(backend) -> None:
+    """Close ``backend`` when it can be closed; a dead one is ignored."""
+    closer = getattr(backend, "close", None)
+    if callable(closer):
+        try:
+            closer()
+        except Exception:
+            pass
+
+
+def _alive(member) -> bool:
+    """Whether ``member`` answers a ping (a backend without one counts)."""
+    probe = getattr(member.backend, "ping", None)
+    try:
+        return bool(probe()) if callable(probe) else True
+    except Exception:
+        return False
+
+
 class _Member:
     """One backend inside a group, with its health and read weight."""
 
@@ -112,16 +131,6 @@ class _Member:
             f"<member #{self.ordinal} {type(self.backend).__name__} "
             f"{self.state} w={self.weight}>"
         )
-
-
-class _GroupPrepared:
-    """A group-level prepared statement: the query + per-member handles."""
-
-    __slots__ = ("query", "handles")
-
-    def __init__(self, query):
-        self.query = query
-        self.handles: dict[int, int] = {}  # member ordinal -> member handle
 
 
 class ShardGroup:
@@ -154,7 +163,8 @@ class ShardGroup:
         self._writes = 0  # fan-outs applied (catch-up dirty detection)
         self._wrr: dict[int, float] = {}  # smooth WRR state, by ordinal
         self._handle_ids = itertools.count(1)
-        self._prepared: dict[int, _GroupPrepared] = {}
+        #: group statement id -> (query, {member ordinal: member handle})
+        self._prepared: dict[int, tuple] = {}
         #: group result id -> (member, member result id)
         self._results: dict[int, tuple] = {}
 
@@ -181,10 +191,7 @@ class ShardGroup:
         """Member-level health for ``\\replicas`` and the leakage audit."""
         return {
             "group": self.group_index,
-            "primary_ordinal": next(
-                (m.ordinal for m in self.members if m.state in (HEALTHY, SUSPECT)),
-                -1,
-            ),
+            "primary_ordinal": next((m.ordinal for m in self.live_members()), -1),
             "members": [
                 {
                     "ordinal": m.ordinal,
@@ -201,12 +208,7 @@ class ShardGroup:
         for member in self.members:
             if member.state == DOWN:
                 continue
-            probe = getattr(member.backend, "ping", None)
-            try:
-                alive = bool(probe()) if callable(probe) else True
-            except Exception:
-                alive = False
-            if not alive and member.state != SYNCING:
+            if not _alive(member) and member.state != SYNCING:
                 self._evict(member, "health probe failed")
         return self.replica_status()
 
@@ -223,12 +225,7 @@ class ShardGroup:
         for member in self.members:
             if member.ordinal >= ordinal or member.state == DOWN:
                 continue
-            probe = getattr(member.backend, "ping", None)
-            try:
-                alive = bool(probe()) if callable(probe) else True
-            except Exception:
-                alive = False
-            if not alive:
+            if not _alive(member):
                 member.state = DOWN
                 self.failover.record(
                     "evict",
@@ -251,10 +248,7 @@ class ShardGroup:
         _EVICTIONS.inc()
         self.failover.record("evict", self.group_index, member.ordinal, detail)
         if was_primary:
-            survivor = next(
-                (m for m in self.members if m.state in (HEALTHY, SUSPECT)),
-                None,
-            )
+            survivor = next(iter(self.live_members()), None)
             if survivor is not None:
                 self.failover.promote(
                     self.group_index,
@@ -283,7 +277,7 @@ class ShardGroup:
     def _pick_reader(self) -> Optional["_Member"]:
         """Smooth weighted round-robin over live members."""
         with self._state_lock:
-            live = [m for m in self.members if m.state in (HEALTHY, SUSPECT)]
+            live = self.live_members()
             if not live:
                 return None
             total = sum(m.weight for m in live)
@@ -297,29 +291,40 @@ class ShardGroup:
             return best
 
     def _read(self, op: str, *args, **kwargs):
+        return self._on_reader(
+            op, lambda member: getattr(member.backend, op)(*args, **kwargs)
+        )
+
+    def _on_reader(self, op: str, call, on_transport_error=None):
+        """``call(member)`` on one live reader, retried on the survivors.
+
+        A transport error suspects the member (``on_transport_error``
+        first drops whatever state the caller pinned to it) and the read
+        moves on; any other error is the request's and propagates.
+        """
         last: Optional[BaseException] = None
         with child_span("replica-read") as span:
             span.set_attr("op", op)
             span.set_attr("group", self.group_index)
-            attempts = 0
-            for _ in range(max(4, 2 * len(self.members))):
+            for attempt in range(max(4, 2 * len(self.members))):
                 member = self._pick_reader()
                 if member is None:
                     break
-                attempts += 1
                 try:
-                    out = getattr(member.backend, op)(*args, **kwargs)
+                    out = call(member)
                 except Exception as exc:
                     if not is_transport_error(exc):
                         raise
                     last = exc
                     _READ_RETRIES.labels(op=op).inc()
+                    if on_transport_error is not None:
+                        on_transport_error(member)
                     self._member_failed(member, exc)
                     continue
                 self._member_ok(member)
                 span.set_attr("member", member.ordinal)
-                if attempts > 1:
-                    span.set_attr("retries", attempts - 1)
+                if attempt:
+                    span.set_attr("retries", attempt)
                 return out
         raise ShardUnavailableError(
             f"replica group {self.group_index} has no member able to "
@@ -394,63 +399,44 @@ class ShardGroup:
 
     def close(self) -> None:
         for member in self.members:
-            closer = getattr(member.backend, "close", None)
-            if callable(closer):
-                try:
-                    closer()
-                except Exception:
-                    pass
+            close_quietly(member.backend)
 
     # -- prepared statements (group-virtualized handles) ------------------------
 
     def prepare_query(self, query, session=None) -> int:
         with self._state_lock:
             stmt_id = next(self._handle_ids)
-            self._prepared[stmt_id] = _GroupPrepared(query)
+            self._prepared[stmt_id] = (query, {})
             return stmt_id
-
-    def _member_handle(self, member: "_Member", prepared: _GroupPrepared):
-        handle = prepared.handles.get(member.ordinal)
-        if handle is None:
-            handle = member.backend.prepare_query(prepared.query)
-            prepared.handles[member.ordinal] = handle
-        return handle
 
     def execute_prepared(self, stmt_id: int, params=(), session=None):
         with self._state_lock:
             try:
-                prepared = self._prepared[stmt_id]
+                query, handles = self._prepared[stmt_id]
             except KeyError:
                 raise KeyError(
                     f"unknown prepared statement {stmt_id}"
                 ) from None
-        last: Optional[BaseException] = None
-        for _ in range(max(4, 2 * len(self.members))):
-            member = self._pick_reader()
-            if member is None:
-                break
-            try:
-                handle = self._member_handle(member, prepared)
-                member_result, num_rows = member.backend.execute_prepared(
-                    handle, list(params), session=session
+
+        def run(member):
+            handle = handles.get(member.ordinal)
+            if handle is None:
+                handle = handles[member.ordinal] = (
+                    member.backend.prepare_query(query)
                 )
-            except Exception as exc:
-                if not is_transport_error(exc):
-                    raise
-                last = exc
-                _READ_RETRIES.labels(op="execute_prepared").inc()
-                prepared.handles.pop(member.ordinal, None)
-                self._member_failed(member, exc)
-                continue
-            self._member_ok(member)
-            with self._state_lock:
-                result_id = next(self._handle_ids)
-                self._results[result_id] = (member, member_result)
-            return result_id, num_rows
-        raise ShardUnavailableError(
-            f"replica group {self.group_index} has no member able to "
-            "execute the prepared statement"
-        ) from last
+            return member, member.backend.execute_prepared(
+                handle, list(params), session=session
+            )
+
+        member, (member_result, num_rows) = self._on_reader(
+            "execute_prepared",
+            run,
+            lambda member: handles.pop(member.ordinal, None),
+        )
+        with self._state_lock:
+            result_id = next(self._handle_ids)
+            self._results[result_id] = (member, member_result)
+        return result_id, num_rows
 
     def fetch_rows(self, result_id: int, count=None):
         with self._state_lock:
@@ -487,13 +473,10 @@ class ShardGroup:
 
     def close_prepared(self, stmt_id: int) -> None:
         with self._state_lock:
-            prepared = self._prepared.pop(stmt_id, None)
-        if prepared is None:
-            return
-        for ordinal, handle in prepared.handles.items():
-            member = self.members[ordinal]
+            _, handles = self._prepared.pop(stmt_id, (None, {}))
+        for ordinal, handle in handles.items():
             try:
-                member.backend.close_prepared(handle)
+                self.members[ordinal].backend.close_prepared(handle)
             except Exception:
                 pass
 

@@ -128,7 +128,7 @@ def recover_cluster_txns(coordinator) -> dict:
     nobody decided, and is discarded wholesale (presumed abort).
     """
     rolled_forward = []
-    for name in sorted(coordinator._primary_table_names()):
+    for name in sorted(coordinator._shard_table_names(coordinator.primary)):
         if not name.lower().startswith(TXN_COMMIT_PREFIX):
             continue
         token = name[len(TXN_COMMIT_PREFIX):]

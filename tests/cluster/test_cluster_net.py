@@ -94,17 +94,31 @@ def test_routed_insert_over_wire(net_cluster):
     assert cur.fetchall() == [(9.5,)]
 
 
-def test_prepared_forwarding_over_wire(net_cluster):
+def test_prepared_forwarding_over_wire(net_cluster, monkeypatch):
     conn, coord = net_cluster
-    statement = conn.prepare("SELECT SUM(v) AS s FROM t WHERE k < ?")
-    first = conn.cursor().execute(statement, [11]).fetchall()
-    assert first == [(sum(v for k, _, v in ROWS if k < 11),)]
-    # the forwardable path prepared the partial on both wire shards
-    cluster_statement = next(iter(coord._prepared.values()))
-    assert cluster_statement.forwardable
-    assert len(cluster_statement.shard_handles) == 2
-    again = conn.cursor().execute(statement, [11]).fetchall()
-    assert again == first
+    ops = []
+    for shard in coord.shards:
+        def recording(op, session=None, _call=shard._call, **fields):
+            ops.append(op)
+            return _call(op, session=session, **fields)
+
+        monkeypatch.setattr(shard, "_call", recording)
+    for sql in (
+        "SELECT SUM(v) AS s FROM t WHERE k < ?",
+        # the ORDER BY token mask binds in the merge, not the partial
+        "SELECT grp, SUM(v) AS s FROM t WHERE k < ? GROUP BY grp ORDER BY s",
+    ):
+        statement = conn.prepare(sql)
+        first = conn.cursor().execute(statement, [11]).fetchall()
+        want = sum(v for k, _, v in ROWS if k < 11)
+        assert sum(row[-1] for row in first) == pytest.approx(want)
+        # a later execution ships only bindings to both shards' handles
+        ops.clear()
+        again = conn.cursor().execute(statement, [11]).fetchall()
+        assert again == first
+        assert sorted(ops) == sorted(
+            ["execute_prepared", "fetch", "close_result"] * 2
+        )
 
 
 def test_wire_error_parity(net_cluster):

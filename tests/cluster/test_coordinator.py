@@ -1,16 +1,19 @@
 """Scatter-gather coordination over in-process shards."""
 
+import time
+
 import pytest
 
 import repro.api as api
-from repro.cluster import Coordinator, ShardError
+from repro.cluster import Coordinator, FaultInjector, ShardError
 from repro.cluster.coordinator import MATERIALIZED_PREFIX
 from repro.core import security
 from repro.core.meta import ValueType
 from repro.core.server import SDBServer
 from repro.crypto.prf import seeded_rng
+from repro.sql.params import BindError
 
-from tests.cluster.conftest import ROWS
+from tests.cluster.conftest import ROWS, load_pay
 
 
 def rows_of(conn, sql):
@@ -244,7 +247,6 @@ def test_prepared_scatter_caches_per_shard_plans(cluster):
     statement = conn.prepare("SELECT SUM(amount) AS t FROM pay WHERE id < ?")
     first = conn.cursor().execute(statement, [20]).fetchall()
     cluster_statement = next(iter(coord._prepared.values()))
-    assert cluster_statement.forwardable
     assert cluster_statement.shard_handles is not None
     handles = list(cluster_statement.shard_handles)
     second = conn.cursor().execute(statement, [20]).fetchall()
@@ -252,6 +254,30 @@ def test_prepared_scatter_caches_per_shard_plans(cluster):
     assert cluster_statement.shard_handles == handles  # reused, not re-prepared
     bigger = conn.cursor().execute(statement, [100]).fetchall()
     assert bigger[0][0] > first[0][0]
+
+
+def test_first_execution_prepares_shard_handles_in_one_parallel_round():
+    """The first execution prepares every shard's handle at once, timed as
+    scatter: the route phase makes no shard round trip."""
+    delay, count = 0.2, 4
+    injector = FaultInjector()
+    injector.on_op.append(
+        lambda label: time.sleep(delay) if label.endswith(".prepare_query") else None
+    )
+    shards = [injector.wrap(SDBServer(shard_id=i), f"s{i}") for i in range(count)]
+    conn = api.connect(
+        server=Coordinator(shards), modulus_bits=256, value_bits=64,
+        rng=seeded_rng(18),
+    )
+    load_pay(conn, shard_by="id")
+    cursor = conn.cursor().execute(
+        "SELECT SUM(amount) AS t FROM pay WHERE id < ?", [20]
+    )
+    cursor.fetchall()
+    timing = cursor.report.timing
+    assert timing["route"] < delay
+    assert delay <= timing["scatter"] < (count - 1) * delay
+    conn.close()
 
 
 def test_prepared_plans_invalidate_on_keystore_version(cluster):
@@ -328,8 +354,6 @@ def test_coordinator_requires_a_shard():
 
 def test_single_shard_cluster_behaves_like_single_node(single):
     conn = api.connect(shards=1, modulus_bits=256, value_bits=64, rng=seeded_rng(13))
-    from tests.cluster.conftest import load_pay
-
     load_pay(conn, shard_by="id")
     for sql in (
         "SELECT SUM(amount) AS t FROM pay",
@@ -349,7 +373,8 @@ def test_shards_spec_accepts_server_objects():
 
 
 def test_prepared_with_merge_side_parameter_binds_per_execution(cluster):
-    """A marker outside the partial query disables handle forwarding."""
+    """A marker outside the partial binds at the coordinator's merge; the
+    partial still runs on the per-shard handles."""
     conn, coord = cluster
     statement = conn.prepare("SELECT SUM(amount) + ? AS t FROM pay")
     base = conn.cursor().execute(statement, [0]).fetchall()[0][0]
@@ -357,8 +382,112 @@ def test_prepared_with_merge_side_parameter_binds_per_execution(cluster):
     assert shifted == pytest.approx(base + 100)
     cluster_statement = next(iter(coord._prepared.values()))
     assert cluster_statement.route[0] == "scatter"
-    assert not cluster_statement.forwardable
+    assert len(cluster_statement.shard_handles) == 4
     assert coord.last_scatter.mode == "scatter"
+
+
+@pytest.mark.parametrize("params", [[], [1, 2]])
+def test_prepared_rejects_a_wrong_parameter_count(cluster, params):
+    _, coord = cluster
+    stmt_id = coord.prepare_query("SELECT COUNT(*) AS n FROM pay WHERE id < ?")
+    with pytest.raises(BindError):
+        coord.execute_prepared(stmt_id, params)
+
+
+# -- shard traffic per route ------------------------------------------------------
+
+
+@pytest.fixture()
+def recorded():
+    """(connection, coordinator, injector) over two shards whose every
+    call lands in ``injector.log`` as ``"s<i>.<method>"``."""
+    injector = FaultInjector()
+    shards = [injector.wrap(SDBServer(shard_id=i), f"s{i}") for i in range(2)]
+    conn = api.connect(
+        server=Coordinator(shards), modulus_bits=256, value_bits=64,
+        rng=seeded_rng(6),
+    )
+    load_pay(conn, shard_by="id")
+    conn.proxy.create_table(
+        "dim", [("k", ValueType.int_())], [(1,), (2,)], rng=seeded_rng(8)
+    )
+    yield conn, conn.proxy.server, injector
+    conn.close()
+
+
+def second_run_traffic(injector, run) -> list:
+    """The data-plane calls ``run``'s *second* call makes (the first one
+    prepares handles and fills caches), sorted."""
+    run()
+    injector.log.clear()
+    run()
+    return sorted(
+        label for label in injector.log
+        if label.split(".")[1] not in ("catalog_names", "shard_status")
+    )
+
+
+@pytest.mark.parametrize("sql, params, mode", [
+    ("SELECT SUM(amount) AS t FROM pay WHERE id < ?", [20], "scatter"),
+    # the marker sits in the merge, not the partial
+    ("SELECT SUM(amount) + ? AS t FROM pay", [100], "scatter"),
+    # ORDER BY an encrypted aggregate: the token mask binds in the merge
+    # (the shape of TPC-H Q3/Q5/Q10)
+    ("SELECT region, SUM(amount) AS t FROM pay WHERE id > ? "
+     "GROUP BY region ORDER BY t DESC", [3], "scatter"),
+    ("SELECT COUNT(*) AS n FROM pay a, pay b WHERE a.id = b.id AND a.id < ?",
+     [30], "coshard"),
+])
+def test_prepared_split_routes_run_on_shard_handles(
+    recorded, single, sql, params, mode
+):
+    conn, coord, injector = recorded
+    statement = conn.prepare(sql)
+    got = []
+    traffic = second_run_traffic(
+        injector,
+        lambda: got.append(conn.cursor().execute(statement, params).fetchall()),
+    )
+    assert traffic == sorted(
+        f"s{i}.{op}" for i in range(2)
+        for op in ("execute_prepared", "fetch_rows", "close_result")
+    )
+    assert coord.last_scatter.mode == mode
+    want = single.cursor().execute(sql, params).fetchall()
+    ordered = "ORDER BY" in sql
+    assert got[0] == got[1]
+    assert (got[1] if ordered else normalized(got[1])) == (
+        want if ordered else normalized(want)
+    )
+
+
+def test_adhoc_scatter_sends_one_execute_partial_per_shard(recorded):
+    _, coord, injector = recorded
+    traffic = second_run_traffic(
+        injector, lambda: coord.execute("SELECT COUNT(*) AS n FROM pay")
+    )
+    assert traffic == ["s0.execute_partial", "s1.execute_partial"]
+    assert coord.last_scatter.mode == "scatter"
+
+
+@pytest.mark.parametrize("sql, mode", [
+    ("SELECT COUNT(*) AS n FROM dim WHERE k < ?", "primary"),
+    ("SELECT COUNT(*) AS n FROM pay a, pay b "
+     "WHERE a.region = b.region AND a.id < ?", "fallback"),
+])
+@pytest.mark.parametrize("prepared", [True, False])
+def test_one_shot_routes_send_one_execute_to_the_primary(
+    recorded, sql, mode, prepared
+):
+    conn, coord, injector = recorded
+    if prepared:
+        statement = conn.prepare(sql)
+        run = lambda: conn.cursor().execute(statement, [30]).fetchall()  # noqa: E731
+    else:
+        bound = sql.replace("?", "30")
+        run = lambda: coord.execute(bound)  # noqa: E731
+    assert second_run_traffic(injector, run) == ["s0.execute"]
+    assert coord.last_scatter.mode == mode
 
 
 def test_recreate_sharded_table_as_primary_then_reshard(cluster):

@@ -7,7 +7,8 @@ against the promoted group.  Fault injection
 (:class:`~repro.cluster.faults.FaultInjector`) kills members at exact
 protocol points:
 
-* a shard's primary dies *mid-query* (while serving a scatter partial);
+* a shard's primary dies *mid-query* (while executing or streaming a
+  scatter leg);
 * a primary dies *mid-INSERT* (while the write fan-out is in flight);
 * a primary dies *mid-rebalance* (while its group streams movers);
 * a joining replica dies *mid-catch-up* (the sync aborts, the group is
@@ -128,15 +129,13 @@ def _assert_matches(got: dict, want: dict):
                     )
 
 
-def test_primary_killed_mid_query_retries_transparently(data, oracle_answers):
-    conn, injector, groups = _connect_replicated(data, 2, rng_seed=301)
+def _kill_mid_query(data, oracle_answers, rng_seed, op):
+    """Kill ``s0r0`` the moment it starts serving ``op`` for a query."""
+    conn, injector, groups = _connect_replicated(data, 2, rng_seed=rng_seed)
     killed = []
 
     def kill_mid_scatter(label):
-        # the kill lands on the very execute_partial that is serving the
-        # scatter: that call fails, the group evicts + promotes, and the
-        # read retries on the survivor inside the same query
-        if label == "s0r0.execute_partial" and not killed:
+        if label == f"s0r0.{op}" and not killed:
             killed.append(label)
             injector.kill("s0r0")
 
@@ -148,6 +147,20 @@ def test_primary_killed_mid_query_retries_transparently(data, oracle_answers):
     kinds = [e.kind for e in conn.proxy.server.failover.events]
     assert "evict" in kinds and "promote" in kinds
     conn.close()
+
+
+def test_primary_killed_mid_query_retries_transparently(data, oracle_answers):
+    # the kill lands on the very execute_prepared that is serving a
+    # scatter leg: that call fails, the group evicts + promotes, and its
+    # read retry re-runs the leg on the survivor inside the same query
+    _kill_mid_query(data, oracle_answers, 301, "execute_prepared")
+
+
+def test_primary_killed_mid_fetch_retries_transparently(data, oracle_answers):
+    # the leg's result is pinned to the member that dies while streaming
+    # it: the group cannot resume it elsewhere, so the coordinator's leg
+    # retry re-executes the leg against the promoted member
+    _kill_mid_query(data, oracle_answers, 311, "fetch_rows")
 
 
 def test_primary_killed_mid_insert_commits_on_survivors(data, oracle_answers):
