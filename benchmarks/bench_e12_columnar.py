@@ -82,7 +82,8 @@ def test_scan_filter_sum_speedup(plain_catalog):
     )
 
     assert list(row_result.rows()) == list(batch_result.rows())
-    assert batch_engine.last_exec_path == "batch", batch_engine.last_batch_fallback
+    info = batch_result.exec_info
+    assert info.path == "batch", info.fallback
     speedup = row_seconds / batch_seconds
 
     table = ResultTable(
@@ -145,7 +146,8 @@ def test_secure_share_sum_both_paths(bench_keys_256):
     )
 
     assert list(row_result.rows()) == list(batch_result.rows())
-    assert batch_engine.last_exec_path == "batch", batch_engine.last_batch_fallback
+    info = batch_result.exec_info
+    assert info.path == "batch", info.fallback
     speedup = row_seconds / batch_seconds
 
     table = ResultTable(

@@ -8,11 +8,11 @@ encrypted storage expansion factor.
 import pytest
 
 from repro.bench.harness import ResultTable
-from repro.core.channel import estimate_table_bytes
 from repro.core.proxy import SDBProxy
 from repro.core.server import SDBServer
 from repro.crypto.prf import seeded_rng
 from repro.engine import Catalog, Table
+from repro.storage.format import estimate_table_bytes
 from repro.workloads.tpch.dbgen import generate
 from repro.workloads.tpch.loader import load_encrypted, load_plain, plain_schema
 

@@ -89,7 +89,7 @@ class _PlanVariant:
     """One rewrite of a statement, specialized to a parameter signature."""
 
     plan: RewrittenQuery
-    sql_text: str                  # rendered once; reused by results/channel
+    sql_text: str                  # rendered once; reused by results
     store_version: int
     rewrite_s: float
     stmt_id: Optional[int] = None  # server-side prepared handle
@@ -268,9 +268,6 @@ class Statement:
             # concurrent session's route can never be attributed to this one
             reporter = getattr(server, "scatter_report", None)
             scatter = reporter(result_id) if callable(reporter) else None
-            proxy.channel.record_query(
-                f"EXECUTE s{variant.stmt_id} ({len(literals)} bound values)"
-            )
 
             parse_s = 0.0 if self._parse_charged else self.parse_s
             self._parse_charged = True
@@ -395,7 +392,6 @@ class Statement:
             _, evicted = self._variants.popitem(last=False)
             self._drop_variant_handle(evicted)
             _PLAN_EVICTIONS.inc()
-        self.proxy.channel.record_query(sql_text)
         return variant
 
     def _drop_variant_handle(self, variant: "_PlanVariant") -> None:
@@ -520,7 +516,6 @@ class SelectExecution:
             self.exec_info = chunk.exec_info
         t1 = time.perf_counter()
         self.server_s += t1 - t0
-        proxy.channel.record_result(chunk)
         table = proxy._decryptor.decrypt(
             chunk, self.plan.outputs, params=self.params
         )

@@ -20,8 +20,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--port", type=int, default=9753)
     parser.add_argument("--durable", metavar="DIR",
                         help="persist tables and WAL under DIR")
-    parser.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="partition-parallel execution over N partitions")
     parser.add_argument("--shard-id", type=int, default=None, metavar="I",
                         help="identity within a sharded cluster (see repro.cluster)")
     parser.add_argument("--max-session-queue", type=int, default=64, metavar="N",
@@ -47,9 +45,7 @@ def main(argv: Optional[list] = None) -> int:
     else:
         from repro.core.server import SDBServer
 
-        sdb_server = SDBServer(
-            parallel_partitions=args.parallel, shard_id=args.shard_id
-        )
+        sdb_server = SDBServer(shard_id=args.shard_id)
 
     from repro.net.server import SDBNetServer
 

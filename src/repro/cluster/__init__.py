@@ -29,8 +29,8 @@ principles on top of the existing single-node substrate:
 
 Because sensitive cells are secret shares in a ring, a partial
 ``sdb_agg_sum`` computed on one shard is itself a valid share: merging
-shards is just more ring addition, the same property that powers the
-thread-parallel engine (:mod:`repro.engine.partial`).
+shards is just more ring addition (the split itself is planned by
+:mod:`repro.engine.partial`).
 """
 
 from repro.cluster.coordinator import Coordinator, Placement, ScatterReport, ShardError

@@ -13,8 +13,8 @@ Execution routes one of four ways, recorded in :attr:`last_scatter`:
 * **primary** -- the query touches no sharded table; it runs verbatim on
   the designated primary shard (``shards[0]``), which holds every
   unsharded relation.
-* **scatter** -- the query is partial/merge-splittable (same eligibility
-  as the thread-parallel engine, :mod:`repro.engine.partial`) over one
+* **scatter** -- the query is partial/merge-splittable (eligibility and
+  split from :mod:`repro.engine.partial`) over one
   sharded table: each shard runs the partial over its bucket slice, and
   the coordinator merges the union of partials with a local engine.
   Secret shares merge by ring addition, so the gather step needs no keys.

@@ -9,8 +9,10 @@
 * :mod:`repro.core.encryptor` -- the upload pipeline.
 * :mod:`repro.core.rewriter` -- SQL rewriting to UDF form (Section 2.2).
 * :mod:`repro.core.decryptor` -- result decryption at the proxy.
-* :mod:`repro.core.proxy` / :mod:`repro.core.server` /
-  :mod:`repro.core.channel` -- the two-party architecture of Figure 2.
+* :mod:`repro.core.proxy` / :mod:`repro.core.server` -- the two-party
+  architecture of Figure 2; every DO -> SP call goes through the
+  :class:`repro.api.backend.Backend` protocol, in process or over
+  :mod:`repro.net`.
 * :mod:`repro.core.security` -- DB/CPA/QR attacker simulations (Section 2.3).
 """
 

@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.core.channel import Channel
 from repro.core.decryptor import Decryptor
 from repro.core.encryptor import AUX_COLUMN, ROWID_COLUMN, encrypt_rows, encrypt_table
 from repro.core.keystore import KeyStore
@@ -104,7 +103,6 @@ class SDBProxy:
         self.policy = policy or ProtocolPolicy()
         self.rewriter = Rewriter(self.store, policy=self.policy, rng=rng)
         self.server = server
-        self.channel = Channel()
         self._decryptor = Decryptor(self.store)
         self._rng = rng
         self._session = None  # lazily-created default repro.api Connection
@@ -202,7 +200,6 @@ class SDBProxy:
             rng=rng,
         )
         self.store.register_table(meta, replace=replace)
-        self.channel.record_upload(name, encrypted)
         if shard_by is not None:
             self.server.store_sharded(
                 name, encrypted, shard_column=shard_by, buckets=buckets,
@@ -340,7 +337,6 @@ class SDBProxy:
                 self.server.rollback(session=session)
                 self._revert_txn_deltas(session)
         t1 = time.perf_counter()
-        self.channel.record_query(statement.to_sql())
         return DMLResult(
             affected=0,
             rewritten_sql=statement.to_sql(),
@@ -468,7 +464,6 @@ class SDBProxy:
         t0 = time.perf_counter()
         report = self.rebalance(target, endpoints=endpoints)
         t1 = time.perf_counter()
-        self.channel.record_query(statement.to_sql())
         return DMLResult(
             affected=report.rows_moved,
             rewritten_sql=(
@@ -543,7 +538,6 @@ class SDBProxy:
                 ),
             )
             t2 = time.perf_counter()
-            self.channel.record_query(rewritten.to_sql())
             shard_leakage = ()
             shard_column = getattr(self.server, "shard_column", None)
             shard_col = (
@@ -602,7 +596,6 @@ class SDBProxy:
         with self._meta_lock:
             plan = rewrite(statement)
             t1 = time.perf_counter()
-            self.channel.record_query(plan.sql)
             affected = self.server.execute_dml(plan.statement, session=session)
         t2 = time.perf_counter()
         meta = self.store.table(statement.table)
@@ -693,7 +686,6 @@ class SDBProxy:
             where=None,
         )
         t0 = time.perf_counter()
-        self.channel.record_query(statement.to_sql())
         # the SP-side update and the key-store swap are one atomic step
         # w.r.t. any statement that uses the current keys: the exclusive
         # key-epoch side fences off in-flight SELECT executions (whose

@@ -147,19 +147,12 @@ class _StreamingResult:
 
 
 class SDBServer:
-    """A relational engine with the SDB UDF set installed.
-
-    ``parallel_partitions`` switches the engine to the partition-parallel
-    executor (:mod:`repro.engine.parallel`): eligible queries run as
-    partial + merge over that many partitions with task retry; everything
-    else silently takes the serial path.
-    """
+    """A relational engine with the SDB UDF set installed."""
 
     def __init__(
         self,
         instrument: bool = False,
         udf_sample_limit: int = 10000,
-        parallel_partitions: int = 0,
         shard_id: Optional[int] = None,
     ):
         #: identity within a sharded cluster (None for standalone servers);
@@ -174,16 +167,7 @@ class SDBServer:
         # per-UDF-call observable is defined by row-at-a-time execution,
         # and a batch attempt that errors and falls back would record its
         # partial UDF traffic on top of the row re-run's.
-        batch_enabled = not instrument
-        if parallel_partitions:
-            from repro.engine.parallel import ParallelEngine
-
-            self.engine = ParallelEngine(
-                self.catalog, self.udfs, num_partitions=parallel_partitions,
-                batch_enabled=batch_enabled,
-            )
-        else:
-            self.engine = Engine(self.catalog, self.udfs, batch_enabled=batch_enabled)
+        self.engine = Engine(self.catalog, self.udfs, batch_enabled=not instrument)
         self.transcript = Transcript()
         self._instrument = instrument
         self._udf_sample_limit = udf_sample_limit

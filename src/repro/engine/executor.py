@@ -309,12 +309,6 @@ class Engine:
         self.catalog = catalog
         self.udfs = udfs or UDFRegistry()
         self.batch_enabled = batch_enabled
-        #: 'batch' | 'row' -- which path produced the last top-level result.
-        #: Single-threaded convenience only: engines are shared between
-        #: sessions, so reports read the result's own ``exec_info``.
-        self.last_exec_path: Optional[str] = None
-        #: why the batch path was not used, for observability ('' = it was).
-        self.last_batch_fallback: str = ""
         self._subquery_cache: dict = {}
         self._scan_cache: dict = {}
 
@@ -619,17 +613,12 @@ class Engine:
                 fallback = f"error: {exc!r}"
             else:
                 result.exec_info = ExecInfo(access=tuple(access))
-                self.last_exec_path = "batch"
-                self.last_batch_fallback = ""
                 return result
         elif outer_scope is None:
             fallback = (
                 "disabled" if not self.batch_enabled
                 else "shape: no FROM clause"
             )
-        if outer_scope is None:
-            self.last_exec_path = "row"
-            self.last_batch_fallback = fallback
         result = self._execute_select_rows(
             query, outer_scope, preplanned, drop_conjunct
         )

@@ -1,11 +1,10 @@
-"""Partial/merge split planning, shared by thread- and cluster-parallelism.
+"""Partial/merge split planning for the sharded cluster executor.
 
 The two-phase shape Spark SQL plans for distributed aggregates -- a partial
 query evaluated independently per data slice plus a merge query over the
-union of partials -- is the same whether the slices are thread-pool
-partitions of one table (:mod:`repro.engine.parallel`) or encrypted shards
-spread over separate service providers (:mod:`repro.cluster`).  This module
-holds that planning once:
+union of partials -- is how :mod:`repro.cluster` scatters a SELECT over
+encrypted shards spread across separate service providers.  This module
+holds that planning:
 
 * :func:`ineligibility` -- the conservative eligibility test: single-table
   queries whose aggregates are built-ins (non-DISTINCT ``SUM/COUNT/MIN/
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.engine.schema import ColumnSpec, Schema
 from repro.engine.table import Table
@@ -96,14 +95,14 @@ class SplitPlan:
 def ineligibility(
     query: ast.Select,
     udfs: UDFRegistry,
-    has_table: Union[Callable[[str], bool], object],
+    has_table: Callable[[str], bool],
     multi_table: bool = False,
 ) -> Optional[str]:
     """None when the query can run partial+merge, else the reason.
 
-    ``has_table`` is either a callable or a container deciding whether the
-    FROM table is known to the caller (catalog, shard placement map, ...);
-    unknown tables stay serial so the reference path reports the error.
+    ``has_table`` decides whether a FROM table is known to the caller (the
+    coordinator's placement map); unknown tables stay serial so the
+    reference path reports the error.
 
     ``multi_table`` admits join trees of base tables.  The split itself
     copies the FROM clause verbatim into the partial, so the *caller* must
@@ -117,10 +116,7 @@ def ineligibility(
     if not multi_table and len(refs) != 1:
         return "FROM is not a single base table"
     for ref in refs:
-        known = (
-            has_table(ref.name) if callable(has_table) else ref.name in has_table
-        )
-        if not known:
+        if not has_table(ref.name):
             return "unknown table (serial path reports the error)"
     roots = [item.expr for item in query.items]
     roots += [e for e in (query.where, query.having) if e is not None]

@@ -184,6 +184,31 @@ def deserialize_table(blob: bytes) -> Table:
     return Table(schema, columns)
 
 
+def estimate_value_bytes(value) -> int:
+    """Approximate serialized size of one value."""
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        return max(1, (value.bit_length() + 7) // 8)
+    if isinstance(value, float):
+        return 8
+    if isinstance(value, datetime.date):
+        return 4
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, SIESCiphertext):
+        return estimate_value_bytes(value.value) + 8
+    return 16
+
+
+def estimate_table_bytes(table: Table) -> int:
+    return sum(
+        estimate_value_bytes(v) for column in table.columns for v in column
+    )
+
+
 def write_table(path, table: Table) -> int:
     """Write a table file atomically (temp file + rename); returns bytes."""
     import os

@@ -142,14 +142,13 @@ def test_pipelined_statement_reports_its_path_over_the_wire():
 
 
 def test_interleaved_sessions_each_see_their_own_path(deployment):
-    conn, server = deployment
+    conn, _ = deployment
     other = api.connect(proxy=conn.proxy)
     batch_cur, row_cur = conn.cursor(), other.cursor()
     row_sql = "SELECT id FROM acct WHERE id = (SELECT MIN(id) FROM acct)"
     batch_cur.execute(POINT, [5])
     row_cur.execute(row_sql)
-    # the shared engine's last_exec_path now says 'row'; the reports must not
-    assert server.engine.last_exec_path == "row"
+    # the shared engine last ran the row statement; each report keeps its own
     assert batch_cur.report.exec_path == "batch"
     assert row_cur.report.exec_path == "row"
     assert row_cur.report.batch_fallback
@@ -157,6 +156,19 @@ def test_interleaved_sessions_each_see_their_own_path(deployment):
     assert row_cur.report.exec_path == "row"
     assert batch_cur.fetchall()[0][0] == 6 and row_cur.fetchall() == [(1,)]
     other.close()
+
+
+def test_derived_table_reports_the_outer_row_path(deployment):
+    """The outer SELECT over a derived table runs on the row path; the
+    nested batch execution of the inner query must not overwrite that."""
+    conn, server = deployment
+    sql = "SELECT x.id FROM (SELECT id FROM acct WHERE grp = 3) AS x"
+    reason = "unsupported: FROM shape: SubqueryRef"
+    info = server.engine.execute(sql).exec_info
+    assert (info.path, info.fallback) == ("row", reason)
+    cur = conn.cursor()
+    assert len(cur.execute(sql).fetchall()) == N // 16
+    assert (cur.report.exec_path, cur.report.batch_fallback) == ("row", reason)
 
 
 def test_explain_names_the_access_candidates(deployment):

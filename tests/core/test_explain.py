@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.faults import FaultInjector
 from repro.core.meta import ValueType
 from repro.core.proxy import SDBProxy
 from repro.core.server import SDBServer
@@ -36,10 +37,11 @@ def test_explain_select_plain_output(proxy):
     assert "sdb_" not in report.rewritten_sql.split("FROM")[0].replace("__", "")
 
 
-def test_explain_does_not_contact_server(proxy):
-    queries_before = len(proxy.channel.records)
+def test_explain_does_not_contact_server(proxy, monkeypatch):
+    injector = FaultInjector()
+    monkeypatch.setattr(proxy, "server", injector.wrap(proxy.server, "sp"))
     proxy.explain("SELECT SUM(salary) AS s FROM pay")
-    assert len(proxy.channel.records) == queries_before
+    assert injector.log == []
 
 
 def test_explain_comparison_declares_leakage(proxy):

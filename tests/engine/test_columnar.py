@@ -58,14 +58,15 @@ def test_differential_batch_vs_row(engines):
     for i in range(NUM_QUERIES):
         sql = generator.query()
         expected = list(row_engine.execute(sql).rows())
-        actual = list(batch_engine.execute(sql).rows())
-        if batch_engine.last_exec_path == "batch":
+        result = batch_engine.execute(sql)
+        actual = list(result.rows())
+        if result.exec_info.path == "batch":
             batch_hits += 1
         else:
             # every generated query -- single-table or inner join -- must
             # take the batch path; a silent fallback here would mask
             # batch-evaluator breakage
-            mismatches.append((i, sql, "fell back", batch_engine.last_batch_fallback))
+            mismatches.append((i, sql, "fell back", result.exec_info.fallback))
             continue
         if actual != expected:
             mismatches.append((i, sql, expected[:5], actual[:5]))
@@ -83,30 +84,29 @@ def test_join_runs_on_batch_path(engines):
         "SELECT t1.a, t2.x FROM t1 CROSS JOIN t2 "
         "WHERE t1.a IS NOT NULL ORDER BY t1.a, t2.x LIMIT 9",
     ]:
-        assert list(batch_engine.execute(sql).rows()) == list(
-            row_engine.execute(sql).rows()
-        ), sql
-        assert batch_engine.last_exec_path == "batch", (
-            sql, batch_engine.last_batch_fallback
-        )
+        result = batch_engine.execute(sql)
+        assert list(result.rows()) == list(row_engine.execute(sql).rows()), sql
+        assert result.exec_info.path == "batch", (sql, result.exec_info.fallback)
 
 
 def test_left_join_falls_back_to_row_path(engines):
     row_engine, batch_engine = engines
     sql = "SELECT t1.a, t2.y FROM t1 LEFT JOIN t2 ON t1.a = t2.x"
     expected = list(row_engine.execute(sql).rows())
-    assert list(batch_engine.execute(sql).rows()) == expected
-    assert batch_engine.last_exec_path == "row"
-    assert "unsupported" in batch_engine.last_batch_fallback
+    result = batch_engine.execute(sql)
+    assert list(result.rows()) == expected
+    assert result.exec_info.path == "row"
+    assert "unsupported" in result.exec_info.fallback
 
 
 def test_subquery_falls_back_to_row_path(engines):
     row_engine, batch_engine = engines
     sql = "SELECT a FROM t1 WHERE b = (SELECT MAX(x) FROM t2)"
     expected = list(row_engine.execute(sql).rows())
-    assert list(batch_engine.execute(sql).rows()) == expected
-    assert batch_engine.last_exec_path == "row"
-    assert "unsupported" in batch_engine.last_batch_fallback
+    result = batch_engine.execute(sql)
+    assert list(result.rows()) == expected
+    assert result.exec_info.path == "row"
+    assert "unsupported" in result.exec_info.fallback
 
 
 def test_errors_surface_identically(engines):
@@ -128,9 +128,10 @@ def test_short_circuit_guard_errors_fall_back(engines):
     # path never errors, the eager batch path always would
     sql = "SELECT a FROM t1 WHERE d = d OR 1 / (d - d) > 0"
     expected = list(row_engine.execute(sql).rows())
-    assert list(batch_engine.execute(sql).rows()) == expected
-    assert batch_engine.last_exec_path == "row"
-    assert batch_engine.last_batch_fallback.startswith("error")
+    result = batch_engine.execute(sql)
+    assert list(result.rows()) == expected
+    assert result.exec_info.path == "row"
+    assert result.exec_info.fallback.startswith("error")
 
 
 def test_three_valued_logic_matches(engines):
@@ -143,28 +144,25 @@ def test_three_valued_logic_matches(engines):
         "SELECT a FROM t1 WHERE a IN (1, 2, 3) OR c LIKE 'r%'",
         "SELECT CASE WHEN a > 0 THEN 'pos' WHEN a < 0 THEN 'neg' ELSE 'zero' END FROM t1",
     ]:
-        assert list(batch_engine.execute(sql).rows()) == list(
-            row_engine.execute(sql).rows()
-        ), sql
-        assert batch_engine.last_exec_path == "batch"
+        result = batch_engine.execute(sql)
+        assert list(result.rows()) == list(row_engine.execute(sql).rows()), sql
+        assert result.exec_info.path == "batch"
 
 
 def test_order_by_expression_and_limit(engines):
     row_engine, batch_engine = engines
     sql = "SELECT a, b FROM t1 WHERE a IS NOT NULL AND b IS NOT NULL ORDER BY a * b DESC, a LIMIT 7"
-    assert list(batch_engine.execute(sql).rows()) == list(
-        row_engine.execute(sql).rows()
-    )
-    assert batch_engine.last_exec_path == "batch"
+    result = batch_engine.execute(sql)
+    assert list(result.rows()) == list(row_engine.execute(sql).rows())
+    assert result.exec_info.path == "batch"
 
 
 def test_distinct_then_order(engines):
     row_engine, batch_engine = engines
     sql = "SELECT DISTINCT c FROM t1 ORDER BY c DESC"
-    assert list(batch_engine.execute(sql).rows()) == list(
-        row_engine.execute(sql).rows()
-    )
-    assert batch_engine.last_exec_path == "batch"
+    result = batch_engine.execute(sql)
+    assert list(result.rows()) == list(row_engine.execute(sql).rows())
+    assert result.exec_info.path == "batch"
 
 
 def test_grouped_with_having_and_order(engines):
@@ -173,10 +171,9 @@ def test_grouped_with_having_and_order(engines):
         "SELECT c, COUNT(*) AS n, SUM(a) AS s, AVG(b) AS m FROM t1 "
         "WHERE a IS NOT NULL GROUP BY c HAVING COUNT(*) >= 2 ORDER BY n DESC, c"
     )
-    assert list(batch_engine.execute(sql).rows()) == list(
-        row_engine.execute(sql).rows()
-    )
-    assert batch_engine.last_exec_path == "batch"
+    result = batch_engine.execute(sql)
+    assert list(result.rows()) == list(row_engine.execute(sql).rows())
+    assert result.exec_info.path == "batch"
 
 
 def test_distinct_aggregates_both_paths(engines):
@@ -186,16 +183,18 @@ def test_distinct_aggregates_both_paths(engines):
         "MIN(DISTINCT a) AS lo, MAX(DISTINCT a) AS hi FROM t1"
     )
     expected = list(row_engine.execute(sql).rows())
-    assert list(batch_engine.execute(sql).rows()) == expected
-    assert batch_engine.last_exec_path == "batch"
+    result = batch_engine.execute(sql)
+    assert list(result.rows()) == expected
+    assert result.exec_info.path == "batch"
 
 
 def test_global_aggregate_on_empty_filter(engines):
     row_engine, batch_engine = engines
     sql = "SELECT COUNT(*) AS n, SUM(a) AS s FROM t1 WHERE a > 1000"
-    assert list(batch_engine.execute(sql).rows()) == [(0, None)]
+    result = batch_engine.execute(sql)
+    assert list(result.rows()) == [(0, None)]
     assert list(row_engine.execute(sql).rows()) == [(0, None)]
-    assert batch_engine.last_exec_path == "batch"
+    assert result.exec_info.path == "batch"
 
 
 # -- secure UDFs on the batch path --------------------------------------------
@@ -233,12 +232,9 @@ def test_secure_udfs_batch_equals_row(secure_engines):
         f"SELECT sdb_agg_sum(e, {n}) AS s FROM enc WHERE q >= 10",
         f"SELECT q, sdb_agg_sum(e, {n}) AS s FROM enc GROUP BY q ORDER BY q",
     ]:
-        assert list(batch_engine.execute(sql).rows()) == list(
-            row_engine.execute(sql).rows()
-        ), sql
-        assert batch_engine.last_exec_path == "batch", (
-            sql, batch_engine.last_batch_fallback
-        )
+        result = batch_engine.execute(sql)
+        assert list(result.rows()) == list(row_engine.execute(sql).rows()), sql
+        assert result.exec_info.path == "batch", (sql, result.exec_info.fallback)
 
 
 def test_unregistered_udf_takes_row_path():
@@ -258,8 +254,8 @@ def test_unregistered_udf_takes_row_path():
     udfs.register_scalar("stamped", stamped)
     engine = Engine(catalog, udfs)
     result = engine.execute("SELECT stamped(7) FROM t")
-    assert engine.last_exec_path == "row"
-    assert "no batch form" in engine.last_batch_fallback
+    assert result.exec_info.path == "row"
+    assert "no batch form" in result.exec_info.fallback
     assert list(result.rows()) == [(8,), (9,), (10,)]
     assert len(calls) == 3
 
@@ -276,7 +272,7 @@ def test_batch_results_do_not_alias_storage():
     catalog.create("t", table)
     engine = Engine(catalog)
     result = engine.execute("SELECT a FROM t")
-    assert engine.last_exec_path == "batch"
+    assert result.exec_info.path == "batch"
     assert result.columns[0] is not table.columns[0]
     table.append_rows([(4,)])
     table.set_cell("a", 0, 99)

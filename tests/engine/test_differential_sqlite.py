@@ -5,7 +5,9 @@ Three-way oracle chain on randomly generated queries:
 1. the plaintext engine must match SQLite (stdlib ``sqlite3``) -- catches
    engine bugs against an independent, battle-tested implementation;
 2. encrypted proxy execution must match the plaintext engine -- catches
-   rewriter/protocol bugs (this is the paper's core correctness claim).
+   rewriter/protocol bugs (this is the paper's core correctness claim);
+3. a sharded cluster must match SQLite too -- catches partial/merge
+   split and routing bugs.
 
 Both comparisons treat results as multisets (generated queries without
 ORDER BY have unspecified order) and compare floats with tolerance.
@@ -117,17 +119,27 @@ def test_encrypted_matches_plaintext(encrypted_setup):
 
 
 def test_parallel_matches_sqlite(oracle_setup):
-    """The partition-parallel engine joins the oracle chain."""
-    from repro.engine.parallel import ParallelEngine
+    """A 3-shard in-process cluster joins the oracle chain: eligible
+    queries scatter as partial + merge, the rest take the fallback route."""
+    from repro.cluster.coordinator import Coordinator
 
-    connection, engine, data, _ = oracle_setup
-    parallel = ParallelEngine(engine.catalog, engine.udfs, num_partitions=3)
+    connection, engine, _, _ = oracle_setup
+    coordinator = Coordinator([SDBServer() for _ in range(3)])
+    for name, columns in COLUMNS.items():
+        table = engine.catalog.get(name)
+        coordinator.store_sharded(
+            name, table, columns[0][0], buckets=range(table.num_rows)
+        )
     generator = QueryGenerator(random.Random(90210))
     mismatches = []
+    routes = set()
     for i in range(NUM_QUERIES // 2):
         sql = generator.query()
         expected = _normalize(connection.execute(sql).fetchall())
-        actual = _normalize(parallel.execute(sql).rows())
+        actual = _normalize(coordinator.execute(sql).rows())
+        routes.add(coordinator.last_scatter.mode)
         if actual != expected:
             mismatches.append((i, sql, expected[:5], actual[:5]))
+    coordinator.close()
     assert not mismatches, f"{len(mismatches)} diverging queries: {mismatches[:3]}"
+    assert routes == {"scatter", "fallback"}

@@ -1,15 +1,17 @@
-"""Partition-parallel execution: correctness, fallback, fault tolerance."""
+"""Shard-parallel execution: correctness, fallback, fault tolerance.
+
+Every query shape the partial + merge split covers runs on an in-process
+4-shard cluster and must match the serial :class:`Engine` over the same
+rows; ineligible shapes take the fallback route and must match too.
+Replica groups whose members die mid-query must still answer correctly.
+"""
 
 import pytest
 
+from repro.api.exceptions import ShardUnavailableError
+from repro.cluster import Coordinator, FaultInjector, ShardGroup
+from repro.core.server import SDBServer
 from repro.engine import Catalog, ColumnSpec, DataType, Engine, Schema, Table
-from repro.engine.parallel import (
-    FaultInjector,
-    ParallelEngine,
-    TaskFailure,
-    TaskScheduler,
-    partition_table,
-)
 
 
 def _sales_table(rows=60) -> Table:
@@ -29,23 +31,29 @@ def _sales_table(rows=60) -> Table:
     return Table.from_rows(schema, data)
 
 
+def _store(cluster: Coordinator, name: str, table: Table) -> None:
+    cluster.store_sharded(name, table, "id", buckets=range(table.num_rows))
+
+
+def _serial(table: Table) -> Engine:
+    catalog = Catalog()
+    catalog.create("sales", table)
+    return Engine(catalog)
+
+
 @pytest.fixture()
 def engines():
     table = _sales_table()
-    parallel_catalog = Catalog()
-    parallel_catalog.create("sales", table)
-    serial_catalog = Catalog()
-    serial_catalog.create("sales", table)
-    return (
-        ParallelEngine(parallel_catalog, num_partitions=4),
-        Engine(serial_catalog),
-    )
+    cluster = Coordinator([SDBServer() for _ in range(4)])
+    _store(cluster, "sales", table)
+    yield cluster, _serial(table)
+    cluster.close()
 
 
 def assert_equivalent(engines, sql, ordered=False):
-    parallel, serial = engines
+    cluster, serial = engines
     expected = serial.execute(sql)
-    actual = parallel.execute(sql)
+    actual = cluster.execute(sql)
     assert actual.schema.names == expected.schema.names
     expected_rows = list(expected.rows())
     actual_rows = list(actual.rows())
@@ -59,54 +67,23 @@ def assert_equivalent(engines, sql, ordered=False):
                 assert av == pytest.approx(ev, rel=1e-9)
             else:
                 assert av == ev
-    return parallel.last_plan
+    return cluster.last_scatter
 
 
-# -- partitioning -------------------------------------------------------------
-
-
-def test_partition_sizes_balanced():
-    parts = partition_table(_sales_table(10), 3)
-    assert [p.num_rows for p in parts] == [4, 3, 3]
-
-
-def test_partition_preserves_rows():
-    table = _sales_table(17)
-    parts = partition_table(table, 5)
-    rebuilt = [row for part in parts for row in part.rows()]
-    assert rebuilt == list(table.rows())
-
-
-def test_partition_more_than_rows():
-    parts = partition_table(_sales_table(2), 8)
-    assert len(parts) == 2
-
-
-def test_partition_empty_table():
-    parts = partition_table(Table.empty(_sales_table(1).schema), 4)
-    assert len(parts) == 1
-    assert parts[0].num_rows == 0
-
-
-def test_partition_rejects_zero():
-    with pytest.raises(ValueError):
-        partition_table(_sales_table(4), 0)
-
-
-# -- parallel == serial -----------------------------------------------------------
+# -- cluster == serial ----------------------------------------------------------
 
 
 def test_scan_filter_project(engines):
-    plan = assert_equivalent(
+    route = assert_equivalent(
         engines, "SELECT id, qty * 2 AS dqty FROM sales WHERE qty > 5"
     )
-    assert plan.mode == "parallel"
-    assert plan.partitions == 4
+    assert route.mode == "scatter"
+    assert route.shards == 4
 
 
 def test_global_sum(engines):
-    plan = assert_equivalent(engines, "SELECT SUM(qty) AS total FROM sales")
-    assert plan.mode == "parallel"
+    route = assert_equivalent(engines, "SELECT SUM(qty) AS total FROM sales")
+    assert route.mode == "scatter"
 
 
 def test_global_count_star(engines):
@@ -124,12 +101,12 @@ def test_global_avg(engines):
 
 
 def test_grouped_aggregates(engines):
-    plan = assert_equivalent(
+    route = assert_equivalent(
         engines,
         "SELECT region, COUNT(*) AS c, SUM(qty) AS q, AVG(price) AS p "
         "FROM sales GROUP BY region",
     )
-    assert plan.mode == "parallel"
+    assert route.mode == "scatter"
 
 
 def test_grouped_with_having(engines):
@@ -157,12 +134,12 @@ def test_aggregate_expression_of_aggregates(engines):
 
 
 def test_scan_order_by_selected_column(engines):
-    plan = assert_equivalent(
+    route = assert_equivalent(
         engines,
         "SELECT id, price FROM sales WHERE region = 'east' ORDER BY price DESC",
         ordered=True,
     )
-    assert plan.mode == "parallel"
+    assert route.mode == "scatter"
 
 
 def test_distinct_scan(engines):
@@ -174,8 +151,8 @@ def test_empty_result(engines):
 
 
 def test_aggregate_over_empty_group_count_is_zero(engines):
-    parallel, _ = engines
-    result = parallel.execute("SELECT COUNT(*) AS c FROM sales WHERE id < 0")
+    cluster, _ = engines
+    result = cluster.execute("SELECT COUNT(*) AS c FROM sales WHERE id < 0")
     assert result.column("c") == [0]
 
 
@@ -183,105 +160,116 @@ def test_aggregate_over_empty_group_count_is_zero(engines):
 
 
 def test_join_falls_back(engines):
-    parallel, _ = engines
-    parallel.catalog.create("sales2", _sales_table(5))
-    parallel.execute(
-        "SELECT s.id FROM sales s, sales2 t WHERE s.id = t.id"
-    )
-    assert parallel.last_plan.mode == "serial"
-    assert "single base table" in parallel.last_plan.reason
+    cluster, _ = engines
+    _store(cluster, "sales2", _sales_table(5))
+    cluster.execute("SELECT s.id FROM sales s, sales2 t WHERE s.id = t.id")
+    assert cluster.last_scatter.mode == "fallback"
 
 
 def test_subquery_falls_back(engines):
-    parallel, _ = engines
-    parallel.execute(
+    cluster, _ = engines
+    cluster.execute(
         "SELECT id FROM sales WHERE qty > (SELECT AVG(qty) FROM sales)"
     )
-    assert parallel.last_plan.mode == "serial"
+    assert cluster.last_scatter.mode == "fallback"
 
 
 def test_distinct_aggregate_falls_back(engines):
-    parallel, _ = engines
-    parallel.execute("SELECT COUNT(DISTINCT region) AS c FROM sales")
-    assert parallel.last_plan.mode == "serial"
+    cluster, _ = engines
+    cluster.execute("SELECT COUNT(DISTINCT region) AS c FROM sales")
+    assert cluster.last_scatter.mode == "fallback"
 
 
 def test_unresolvable_order_by_falls_back(engines):
-    parallel, _ = engines
-    parallel.execute("SELECT id FROM sales ORDER BY qty * price")
-    assert parallel.last_plan.mode == "serial"
+    cluster, _ = engines
+    cluster.execute("SELECT id FROM sales ORDER BY qty * price")
+    assert cluster.last_scatter.mode == "fallback"
 
 
 def test_fallback_matches_serial(engines):
     # fallback results must still be correct
-    assert_equivalent(
+    route = assert_equivalent(
         engines, "SELECT COUNT(DISTINCT region) AS c FROM sales"
     )
+    assert route.mode == "fallback"
 
 
 # -- fault tolerance ----------------------------------------------------------------
 
 
+def _replicated(table: Table):
+    """4 shards x 2 fault-injectable members, ``sales`` loaded."""
+    injector = FaultInjector()
+    groups = [
+        ShardGroup(
+            [injector.wrap(SDBServer(shard_id=g), f"s{g}r{o}") for o in range(2)]
+        )
+        for g in range(4)
+    ]
+    cluster = Coordinator(groups)
+    _store(cluster, "sales", table)
+    return cluster, injector
+
+
 def test_injected_failures_are_retried():
     table = _sales_table(40)
-    catalog = Catalog()
-    catalog.create("sales", table)
-    injector = FaultInjector({("partial", 0): 1, ("partial", 2): 2})
-    scheduler = TaskScheduler(max_attempts=3, fault_injector=injector)
-    engine = ParallelEngine(catalog, num_partitions=4, scheduler=scheduler)
+    cluster, injector = _replicated(table)
+    doomed = {"s0", "s2"}  # each loses whichever member serves its leg
 
-    result = engine.execute("SELECT SUM(qty) AS total FROM sales")
+    def kill_mid_query(label):
+        member, op = label.split(".")
+        if member[:2] in doomed and op == "execute_partial":
+            doomed.discard(member[:2])
+            injector.kill(member)
 
-    serial_catalog = Catalog()
-    serial_catalog.create("sales", table)
-    expected = Engine(serial_catalog).execute("SELECT SUM(qty) AS total FROM sales")
-    assert result.column("total") == expected.column("total")
-    assert scheduler.stats.retries == 3
-    assert scheduler.stats.failures == 0
+    injector.on_op.append(kill_mid_query)
+    sql = "SELECT SUM(qty) AS total FROM sales"
+    result = cluster.execute(sql)
+    assert result.column("total") == _serial(table).execute(sql).column("total")
+    assert not doomed, "the scatter never touched a doomed group"
+    assert cluster.last_scatter.mode == "scatter"
+    evicted = [e.group for e in cluster.failover.events if e.kind == "evict"]
+    assert sorted(evicted) == [0, 2]
+    cluster.close()
 
 
 def test_exhausted_retries_raise():
-    catalog = Catalog()
-    catalog.create("sales", _sales_table(8))
-    injector = FaultInjector({("partial", 1): 99})
-    scheduler = TaskScheduler(max_attempts=2, fault_injector=injector)
-    engine = ParallelEngine(catalog, num_partitions=4, scheduler=scheduler)
-    with pytest.raises(TaskFailure, match="after 2 attempts"):
-        engine.execute("SELECT SUM(qty) AS total FROM sales")
-    assert scheduler.stats.failures == 1
+    cluster, injector = _replicated(_sales_table(8))
+    injector.kill("s1r0")
+    injector.kill("s1r1")
+    with pytest.raises(ShardUnavailableError, match="no member"):
+        cluster.execute("SELECT SUM(qty) AS total FROM sales")
+    cluster.close()
 
 
-def test_scheduler_rejects_zero_attempts():
-    with pytest.raises(ValueError):
-        TaskScheduler(max_attempts=0)
-
-
-# -- encrypted parallel execution ------------------------------------------------------
+# -- encrypted shard-parallel execution --------------------------------------------
 
 
 def test_sdb_share_sums_parallelize():
-    """Encrypted SUM must produce identical plaintext via both engines."""
+    """Encrypted SUM must produce identical plaintext on 1 SP and 4 shards."""
+    import repro.api as api
     from repro.core.meta import ValueType
-    from repro.core.proxy import SDBProxy
-    from repro.core.server import SDBServer
     from repro.crypto.prf import seeded_rng
 
     rows = [(i, float(i)) for i in range(1, 41)]
     results = {}
-    for partitions in (0, 4):
-        server = SDBServer(parallel_partitions=partitions)
-        proxy = SDBProxy(server, modulus_bits=256, value_bits=64,
-                         rng=seeded_rng(77))
-        proxy.create_table(
+    for shards in (None, 4):
+        conn = api.connect(shards=shards, modulus_bits=256, value_bits=64,
+                           rng=seeded_rng(77))
+        conn.proxy.create_table(
             "pay",
             [("id", ValueType.int_()), ("amount", ValueType.decimal(2))],
             rows,
             sensitive=["amount"],
             rng=seeded_rng(78),
+            shard_by="id" if shards else None,
         )
-        result = proxy.query("SELECT SUM(amount) AS total FROM pay")
-        results[partitions] = result.table.column("total")[0]
-        if partitions:
-            assert server.engine.last_plan.mode == "parallel"
-    assert results[4] == pytest.approx(results[0])
-    assert results[0] == pytest.approx(sum(v for _, v in rows))
+        cursor = conn.cursor()
+        results[shards] = cursor.execute(
+            "SELECT SUM(amount) AS total FROM pay"
+        ).fetchall()[0][0]
+        if shards:
+            assert cursor.report.scatter.mode == "scatter"
+        conn.close()
+    assert results[4] == pytest.approx(results[None])
+    assert results[None] == pytest.approx(sum(v for _, v in rows))

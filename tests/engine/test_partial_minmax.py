@@ -4,8 +4,7 @@
 winning order token (a plain MIN/MAX -- tokens share one mask across
 slices, so they stay comparable) next to the winning share, and the merge
 re-applies the UDF over the per-slice winners.  Pinned here at the plan
-level and end-to-end through the thread-parallel engine against serial
-execution.
+level and end-to-end on a 4-shard cluster against a single SP.
 """
 
 import pytest
@@ -57,7 +56,7 @@ def test_plan_emits_token_and_share_partials(udfs):
     assert [a.name for a in merge_expr.args] == ["__a0_t", "__a0"]
 
 
-# -- end to end through the thread-parallel engine ------------------------------
+# -- end to end on a 4-shard cluster ---------------------------------------------
 
 
 QUERIES = [
@@ -89,24 +88,25 @@ def deployments():
     serial = api.connect(
         server=SDBServer(), modulus_bits=256, value_bits=64, rng=seeded_rng(55)
     )
-    parallel_server = SDBServer(parallel_partitions=4)
     parallel = api.connect(
-        server=parallel_server, modulus_bits=256, value_bits=64,
-        rng=seeded_rng(56),
+        shards=4, modulus_bits=256, value_bits=64, rng=seeded_rng(56)
     )
-    for conn in (serial, parallel):
-        conn.proxy.create_table(
-            "pay", columns, rows, sensitive=["sal"], rng=seeded_rng(57)
-        )
-    yield serial, parallel, parallel_server
+    serial.proxy.create_table(
+        "pay", columns, rows, sensitive=["sal"], rng=seeded_rng(57)
+    )
+    parallel.proxy.create_table(
+        "pay", columns, rows, sensitive=["sal"], rng=seeded_rng(57),
+        shard_by="id",
+    )
+    yield serial, parallel
     serial.close()
     parallel.close()
 
 
 @pytest.mark.parametrize("sql", QUERIES)
 def test_parallel_minmax_matches_serial(deployments, sql):
-    serial, parallel, parallel_server = deployments
+    serial, parallel = deployments
     expected = serial.cursor().execute(sql).fetchall()
-    got = parallel.cursor().execute(sql).fetchall()
-    assert got == expected
-    assert parallel_server.engine.last_plan.mode == "parallel"
+    cursor = parallel.cursor()
+    assert cursor.execute(sql).fetchall() == expected
+    assert cursor.report.scatter.mode == "scatter"

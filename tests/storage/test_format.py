@@ -13,6 +13,8 @@ from repro.engine.table import Table
 from repro.storage.format import (
     StorageError,
     deserialize_table,
+    estimate_table_bytes,
+    estimate_value_bytes,
     read_cell,
     read_table,
     serialize_table,
@@ -130,3 +132,20 @@ def test_atomic_write_leaves_no_temp_file(tmp_path):
     path = tmp_path / "t.sdbt"
     write_table(path, _sample_table())
     assert [p.name for p in tmp_path.iterdir()] == ["t.sdbt"]
+
+
+def test_value_size_estimates():
+    assert estimate_value_bytes(None) == 1
+    assert estimate_value_bytes(True) == 1
+    assert estimate_value_bytes(0) == 1
+    assert estimate_value_bytes(2**2048) == 257
+    assert estimate_value_bytes(1.5) == 8
+    assert estimate_value_bytes("abc") == 3
+    assert estimate_value_bytes(datetime.date(2020, 1, 1)) == 4
+    assert estimate_value_bytes(SIESCiphertext(value=2**64, nonce=1)) == 9 + 8
+
+
+def test_table_size_sums_cells():
+    schema = Schema((ColumnSpec("a", DataType.INT), ColumnSpec("b", DataType.STRING)))
+    table = Table.from_rows(schema, [(1, "xy"), (2, None)])
+    assert estimate_table_bytes(table) == 1 + 1 + 2 + 1
