@@ -1,9 +1,10 @@
 """E6 -- Demo step 3 / Figure 4: the memory dump shows no plaintext.
 
-Instruments the SP, runs sensitive queries, and checks (a) zero sensitive
-plaintext occurs anywhere in the SP's disk or UDF traffic, (b) stored
-shares are statistically uniform over Z_n, (c) the QR attacker extracts
-exactly the declared leakage (comparison signs) and nothing else.
+Taps the SP (its executor, locks and streaming unchanged), runs sensitive
+queries, and checks (a) zero sensitive plaintext occurs anywhere in the
+SP's disk or UDF traffic, (b) stored shares are statistically uniform over
+Z_n, (c) the QR attacker extracts exactly the declared leakage (comparison
+signs) and nothing else.
 """
 
 import pytest
@@ -21,9 +22,10 @@ from repro.workloads.tpch.sensitivity import FINANCIAL_PROFILE
 
 
 @pytest.fixture(scope="module")
-def instrumented():
+def tapped():
     data = generate(scale_factor=0.0002, seed=66)
-    server = SDBServer(instrument=True)
+    server = SDBServer()
+    security.tap(server)
     proxy = SDBProxy(server, modulus_bits=256, value_bits=64, rng=seeded_rng(67))
     load_encrypted(proxy, data, rng=seeded_rng(68))
     proxy.query("SELECT SUM(l_extendedprice * (1 - l_discount)) AS rev FROM lineitem")
@@ -42,8 +44,8 @@ def _sensitive_ring_values(proxy, data):
     return values
 
 
-def test_memory_dump_report(instrumented):
-    proxy, server, data = instrumented
+def test_memory_dump_report(tapped):
+    proxy, server, data = tapped
     ring_values = _sensitive_ring_values(proxy, data)
 
     disk_hits = security.scan_for_plaintext(server, ring_values)
@@ -75,8 +77,8 @@ def test_memory_dump_report(instrumented):
     assert uniformity.looks_uniform()
 
 
-def test_plaintext_scan_speed(benchmark, instrumented):
-    proxy, server, data = instrumented
+def test_plaintext_scan_speed(benchmark, tapped):
+    proxy, server, data = tapped
     ring_values = _sensitive_ring_values(proxy, data)
     hits = benchmark(security.scan_for_plaintext, server, ring_values)
     assert hits == []

@@ -1,6 +1,7 @@
 """Security audit: the demo's adversary storyline (step 3 / Figure 4).
 
-Instruments the service provider, runs sensitive queries, then plays the
+Taps the service provider (recording what it observes while it runs the
+same code as any untapped server), runs sensitive queries, then plays the
 three attackers of paper Section 2.3 against it:
 
 * DB knowledge  -- read the disk: only uniform-looking shares;
@@ -22,7 +23,8 @@ ROWS = [(i, round(137.5 * i, 2)) for i in range(1, 201)]
 
 
 def main() -> None:
-    server = SDBServer(instrument=True)  # the adversary taps this machine
+    server = SDBServer()
+    transcript = security.tap(server)  # the adversary taps this machine
     conn = api.connect(server=server, modulus_bits=512, value_bits=64,
                        rng=seeded_rng(3))
     proxy = conn.proxy
@@ -64,7 +66,7 @@ def main() -> None:
     print(f"declared leakage the attacker DOES see: {len(signs)} comparison "
           f"sign bits ({signs.count(1)} rows above the threshold)")
     print("\nrewritten queries visible to the attacker (no plaintext SQL):")
-    for sql in server.transcript.queries[:2]:
+    for sql in transcript.queries[:2]:
         print("  ", sql[:110], "...")
 
     print("\n=== inference attacks: SDB shares vs CryptDB-style layers ===")

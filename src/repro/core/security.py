@@ -12,21 +12,26 @@ SDB's claims against them:
   scheme must (and does) resist: because every row gets a fresh random row
   id, equal plaintexts do not produce matching shares.
 * **QR knowledge** -- the attacker observes rewritten queries, UDF traffic
-  and intermediate results.  :class:`QRAttacker` extracts exactly the
-  *declared* leakage (comparison signs, token equality patterns) and
-  verifies the underlying values remain hidden.
+  and intermediate results.  :func:`tap` records that view on a running
+  server; :class:`QRAttacker` extracts exactly the *declared* leakage
+  (comparison signs, token equality patterns) from it and verifies the
+  underlying values remain hidden.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.server import SDBServer
+from repro.core.udfs import BATCH_UDFS, SCALAR_UDFS
 from repro.crypto.sies import SIESCiphertext
 from repro.engine.schema import DataType
 from repro.engine.table import Table
+from repro.engine.udf import rows_from_args
 
 
 #: The scheme's *declared* leakage surface, in one auditable place.  Every
@@ -322,6 +327,87 @@ class CPAAttacker:
         return sum(1 for share in old if share in chosen)
 
 
+#: Most UDF calls one tap records; later calls run unrecorded, so a long
+#: workload on a tapped server holds a bounded transcript.
+UDF_SAMPLE_LIMIT = 10_000
+
+
+@dataclass
+class Transcript:
+    """What an attacker sitting on the SP can see (QR knowledge)."""
+
+    queries: list = field(default_factory=list)      # rewritten SQL strings
+    results: list = field(default_factory=list)      # result tables / chunks
+    udf_values: list = field(default_factory=list)   # sampled UDF in/outputs
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def record(self, statement=None, result=None) -> None:
+        """One statement text (str or AST) and/or one result or chunk."""
+        if statement is not None and not isinstance(statement, str):
+            statement = statement.to_sql()
+        with self._lock:
+            if statement is not None:
+                self.queries.append(statement)
+            if result is not None:
+                self.results.append(result)
+
+    def record_udf(self, name: str, rows, results) -> None:
+        """``(name, args, result)`` per row, up to :data:`UDF_SAMPLE_LIMIT`."""
+        with self._lock:
+            room = UDF_SAMPLE_LIMIT - len(self.udf_values)
+            if room > 0:
+                self.udf_values.extend(itertools.islice(
+                    zip(itertools.repeat(name), rows, results), room
+                ))
+
+    def clear(self) -> None:
+        with self._lock:
+            self.queries.clear()
+            self.results.clear()
+            self.udf_values.clear()
+
+
+def tap(server: SDBServer) -> Transcript:
+    """Record what an SP-resident attacker observes on ``server``.
+
+    Attaches a :class:`Transcript` as ``server.transcript`` (returning the
+    one already attached, if any): the server then records every statement
+    text it executes and every result or streamed chunk it returns.  The
+    SDB UDFs are re-registered through the registry's public API so scalar
+    *and* batch calls record their inputs and outputs -- a batch call row
+    by row -- under the transcript's own lock.  Nothing else changes: the
+    tapped server runs the same executor, locks and streaming as an
+    untapped one, so the QR check judges the code that ships.
+    """
+    if server.transcript is not None:
+        return server.transcript
+    transcript = Transcript()
+    registry = server.udfs
+
+    def scalar(name, fn):
+        def call(*args):
+            result = fn(*args)
+            transcript.record_udf(name, (args,), (result,))
+            return result
+        return call
+
+    def batch(name, fn):
+        def call(num_rows, *args):
+            results = fn(num_rows, *args)
+            transcript.record_udf(name, rows_from_args(num_rows, args), results)
+            return results
+        return call
+
+    for name in SCALAR_UDFS:
+        registry.register_scalar(name, scalar(name, registry.scalar(name)), replace=True)
+    for name in BATCH_UDFS:
+        registry.register_batch(name, batch(name, registry.batch(name)), replace=True)
+    server.transcript = transcript
+    return transcript
+
+
 @dataclass
 class QRObservation:
     """What a wire/memory tap learns from one query execution."""
@@ -336,14 +422,13 @@ class QRAttacker:
     """Query-result knowledge: harvest what the transcript actually leaks."""
 
     def __init__(self, server: SDBServer):
-        if not server.transcript.queries and not server._instrument:
-            raise ValueError("server must be instrumented for QR analysis")
+        if server.transcript is None:
+            raise ValueError("QR analysis needs a tap: call tap(server) first")
         self._server = server
 
     def observations(self) -> list[QRObservation]:
         out = []
         transcript = self._server.transcript
-        signs_by_query: list = []
         for sql in transcript.queries:
             out.append(QRObservation(rewritten_sql=sql))
         signs = [

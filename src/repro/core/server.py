@@ -2,10 +2,11 @@
 
 Matches paper Section 2.2: the SP stores plain values of insensitive data
 and the secret shares of sensitive data, processes rewritten queries, and
-returns encrypted results.  The server also supports *instrumentation*: a
-transcript of everything an SP-resident attacker could observe (stored
-relations, submitted queries, UDF inputs/outputs), which powers the demo's
-memory-dump step and the security experiments.
+returns encrypted results.  What an SP-resident attacker observes
+(stored relations, submitted queries, results, UDF inputs/outputs) is
+recorded by attaching a tap (:func:`repro.core.security.tap`) to a server
+that runs exactly as it does untapped; it powers the demo's memory-dump
+step and the security experiments.
 """
 
 from __future__ import annotations
@@ -13,15 +14,14 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.core.sync import ReadWriteLock
 from repro.core.txn import TransactionManager, _row_key
-from repro.core.udfs import AGGREGATE_UDFS, SCALAR_UDFS, register_sdb_udfs
+from repro.core.udfs import register_sdb_udfs
 from repro.engine import Catalog, Engine, Table
 from repro.engine.executor import PreparedResult
-from repro.engine.udf import UDFRegistry, rows_from_args
+from repro.engine.udf import UDFRegistry
 from repro.sql import ast
 
 
@@ -59,20 +59,6 @@ class StaleSnapshotError(RuntimeError):
     longer (officially) ever existed.  The session layer maps it onto
     ``repro.api.OperationalError``; materialized results are immune.
     """
-
-
-@dataclass
-class Transcript:
-    """What an attacker sitting on the SP can see (QR knowledge)."""
-
-    queries: list = field(default_factory=list)      # rewritten SQL strings
-    results: list = field(default_factory=list)      # result tables
-    udf_values: list = field(default_factory=list)   # sampled UDF in/outputs
-
-    def clear(self) -> None:
-        self.queries.clear()
-        self.results.clear()
-        self.udf_values.clear()
 
 
 class _MaterializedResult:
@@ -149,12 +135,7 @@ class _StreamingResult:
 class SDBServer:
     """A relational engine with the SDB UDF set installed."""
 
-    def __init__(
-        self,
-        instrument: bool = False,
-        udf_sample_limit: int = 10000,
-        shard_id: Optional[int] = None,
-    ):
+    def __init__(self, shard_id: Optional[int] = None):
         #: identity within a sharded cluster (None for standalone servers);
         #: assigned at construction or by the coordinator's first shard_store
         self.shard_id = shard_id
@@ -163,19 +144,13 @@ class SDBServer:
         self.catalog = Catalog()
         self.udfs = UDFRegistry()
         register_sdb_udfs(self.udfs)
-        # Instrumented servers run the row path: the transcript's
-        # per-UDF-call observable is defined by row-at-a-time execution,
-        # and a batch attempt that errors and falls back would record its
-        # partial UDF traffic on top of the row re-run's.
-        self.engine = Engine(self.catalog, self.udfs, batch_enabled=not instrument)
-        self.transcript = Transcript()
-        self._instrument = instrument
-        self._udf_sample_limit = udf_sample_limit
+        self.engine = Engine(self.catalog, self.udfs)
+        #: the attacker's-view recorder attached by
+        #: :func:`repro.core.security.tap` (None: untapped)
+        self.transcript = None
         # Readers-writer execution lock: read-only statements against the
         # current snapshot epoch run concurrently; DML/DDL/rollback take
-        # the write side exclusively and bump the epoch.  Instrumented
-        # servers still serialize everything -- their transcript ordering
-        # is part of the observable.
+        # the write side exclusively and bump the epoch.
         self._lock = ReadWriteLock()
         #: monotonically increasing data version; bumped by every mutation
         self._epoch = 0
@@ -200,8 +175,6 @@ class SDBServer:
         #: connections must not grow one entry per historical session.
         self.session_stats: "OrderedDict" = OrderedDict()
         self.session_stats_limit = 512
-        if instrument:
-            self._wrap_udfs()
 
     # -- snapshot epochs / sessions ---------------------------------------------
 
@@ -240,17 +213,6 @@ class SDBServer:
             return {
                 key: dict(stats) for key, stats in self.session_stats.items()
             }
-
-    def _read_side(self):
-        """The lock guard for read-only statements.
-
-        Instrumented servers run exclusively even for reads: the
-        transcript is an ordered record of what an SP-resident attacker
-        observes, and interleaved appends would scramble it.
-        """
-        if self._instrument:
-            return self._lock.write_locked()
-        return self._lock.read_locked()
 
     # -- storage -----------------------------------------------------------
 
@@ -584,16 +546,13 @@ class SDBServer:
         other session sees only committed state.
         """
         self._note_session(session, "reads")
-        with self._read_side():
-            if self._instrument:
-                sql = query if isinstance(query, str) else query.to_sql()
-                self.transcript.queries.append(sql)
+        with self._lock.read_locked():
             txn = self.txns.get(session)
             engine = self.engine if txn is None else txn.engine
             result = engine.execute(query)
-            if self._instrument:
-                self.transcript.results.append(result)
-            return result
+        if self.transcript is not None:
+            self.transcript.record(query, result)
+        return result
 
     def execute_dml(self, statement, session=None) -> int:
         """Run a (rewritten) INSERT/UPDATE/DELETE; returns affected rows.
@@ -607,27 +566,20 @@ class SDBServer:
         (or other writers) on other sessions.
         """
         self._note_session(session, "writes")
-        sql = None
-        if self._instrument:
-            sql = statement if isinstance(statement, str) else statement.to_sql()
+        if self.transcript is not None:
+            self.transcript.record(statement)
         if isinstance(statement, str):
             from repro.sql.parser import parse_statement
 
             statement = parse_statement(statement)
-        with self._read_side():
+        with self._lock.read_locked():
             txn = self.txns.get(session)
             if txn is not None:
-                if self._instrument:
-                    self.transcript.queries.append(sql)
                 return txn.apply(statement)
         with self._lock.write_locked():
             txn = self.txns.get(session)  # re-check: BEGIN may have raced
             if txn is not None:
-                if self._instrument:
-                    self.transcript.queries.append(sql)
                 return txn.apply(statement)
-            if self._instrument:
-                self.transcript.queries.append(sql)
             self.txns.check_indoubt(statement.table)
             affected = self._autocommit_dml(statement)
             self._bump_epoch()
@@ -706,8 +658,7 @@ class SDBServer:
         :meth:`~repro.engine.executor.Engine.execute_iter`) are *pipelined*:
         rows are produced only as they are fetched, so ``num_rows`` comes
         back as ``-1`` (unknown until the scan is drained).  Everything
-        else -- and every instrumented server, whose transcript is defined
-        over whole results -- materializes as before.
+        else materializes.
         """
         from repro.sql.params import bind_parameters
 
@@ -717,28 +668,29 @@ class SDBServer:
             except KeyError:
                 raise KeyError(f"unknown prepared statement {stmt_id}") from None
         bound = bind_parameters(query, params)
-        if not self._instrument:
-            txn = self.txns.get(session)
-            engine = self.engine if txn is None else txn.engine
-            execute_iter = getattr(engine, "execute_iter", None)
-            if execute_iter is not None:
-                # open the pipeline under the read side: the snapshot of
-                # the column lists must not interleave with a writer, and
-                # the epoch it is tagged with must match that snapshot
-                with self._read_side():
-                    pipeline = execute_iter(bound)
-                    if pipeline is not None:
-                        self._note_session(session, "reads")
-                        source = bound.from_clause.name.lower()
-                        entry = _StreamingResult(
-                            pipeline.names, pipeline.rows, source=source,
-                            version=self._table_version(source),
-                            info=pipeline.info,
-                        )
-                        with self._state_lock:
-                            result_id = next(self._handle_ids)
-                            self._results[result_id] = entry
-                        return PreparedResult(result_id, -1, pipeline.info)
+        txn = self.txns.get(session)
+        engine = self.engine if txn is None else txn.engine
+        execute_iter = getattr(engine, "execute_iter", None)
+        if execute_iter is not None:
+            # open the pipeline under the read side: the snapshot of
+            # the column lists must not interleave with a writer, and
+            # the epoch it is tagged with must match that snapshot
+            with self._lock.read_locked():
+                pipeline = execute_iter(bound)
+                if pipeline is not None:
+                    self._note_session(session, "reads")
+                    if self.transcript is not None:
+                        self.transcript.record(bound)
+                    source = bound.from_clause.name.lower()
+                    entry = _StreamingResult(
+                        pipeline.names, pipeline.rows, source=source,
+                        version=self._table_version(source),
+                        info=pipeline.info,
+                    )
+                    with self._state_lock:
+                        result_id = next(self._handle_ids)
+                        self._results[result_id] = entry
+                    return PreparedResult(result_id, -1, pipeline.info)
         # the session must survive to ``execute``: it selects the
         # transaction overlay engine, not just the stats bucket
         result = self.execute(bound, session=session)
@@ -764,14 +716,18 @@ class SDBServer:
             except KeyError:
                 raise KeyError(f"unknown result set {result_id}") from None
         if isinstance(entry, _StreamingResult):
-            with self._read_side():
+            with self._lock.read_locked():
                 if entry.version != self._table_version(entry.source):
                     raise StaleSnapshotError(
                         f"pipelined result {result_id} over {entry.source!r} "
                         "was invalidated by a rollback or table re-creation; "
                         "re-execute the statement"
                     )
-                return entry.fetch(count)
+                chunk = entry.fetch(count)
+            if self.transcript is not None:
+                # a materialized result was recorded whole by ``execute``
+                self.transcript.record(result=chunk)
+            return chunk
         return entry.fetch(count)
 
     def close_result(self, result_id: int) -> None:
@@ -839,43 +795,16 @@ class SDBServer:
         """Everything currently observable at the SP.
 
         ``disk``: stored relations (DB knowledge).  ``memory``: transient
-        values observed during computation (QR knowledge) -- queries,
-        results and sampled UDF traffic when instrumented.
+        values observed during computation (QR knowledge) -- the queries,
+        results and sampled UDF traffic an attached tap recorded (empty
+        when the server is untapped).
         """
         return {
             "disk": {
                 name: self.catalog.get(name) for name in self.catalog.names()
             },
             "memory": {
-                "queries": list(self.transcript.queries),
-                "results": list(self.transcript.results),
-                "udf_values": list(self.transcript.udf_values),
+                name: list(getattr(self.transcript, name, ()))
+                for name in ("queries", "results", "udf_values")
             },
         }
-
-    def _wrap_udfs(self) -> None:
-        for name in list(SCALAR_UDFS):
-            original = self.udfs.scalar(name)
-
-            def wrapped(*args, _original=original, _name=name):
-                result = _original(*args)
-                if len(self.transcript.udf_values) < self._udf_sample_limit:
-                    self.transcript.udf_values.append(
-                        (_name, args, result)
-                    )
-                return result
-
-            self.udfs.register_scalar(name, wrapped, replace=True)
-
-            # Instrumented servers disable the batch path above, but the
-            # registry is shared -- any engine built on it later must not
-            # bypass the wrapper through a batch registration, so route
-            # batches through the wrapped scalar row by row.
-            if self.udfs.has_batch(name):
-
-                def batch_wrapped(num_rows, *args, _scalar=wrapped):
-                    return [
-                        _scalar(*row) for row in rows_from_args(num_rows, args)
-                    ]
-
-                self.udfs.register_batch(name, batch_wrapped, replace=True)

@@ -163,10 +163,7 @@ class SessionTransaction:
         #: rewritten DML statements in execution order (WAL commit logging)
         self.redo: list = []
         self.catalog = OverlayCatalog(self, server.catalog)
-        self.engine = Engine(
-            self.catalog, server.udfs,
-            batch_enabled=getattr(server.engine, "batch_enabled", True),
-        )
+        self.engine = Engine(self.catalog, server.udfs)
 
     def apply(self, statement) -> int:
         """Execute one DML statement against the write set (shared lock)."""

@@ -89,8 +89,7 @@ def _matching_rows(engine, table, binding: str, where, expressions=()):
     evaluator, and anything the batch evaluator cannot handle -- or any
     error it raises -- re-runs on the row interpreter, which stays the
     reference semantics (and the only path of ``batch_enabled=False``
-    engines, whose per-row UDF call sequence is part of the instrumented
-    transcript).
+    engines).
     """
     from repro.engine.executor import _split_conjuncts, access_path
 

@@ -27,8 +27,8 @@ from repro.storage.wal import WriteAheadLog
 class DurableServer(SDBServer):
     """An SDBServer whose state survives restarts."""
 
-    def __init__(self, directory, instrument: bool = False):
-        super().__init__(instrument=instrument)
+    def __init__(self, directory):
+        super().__init__()
         self.directory = Path(directory)
         self.disk = DiskCatalog(self.directory / "tables")
         self.wal = WriteAheadLog(self.directory / "wal.log")

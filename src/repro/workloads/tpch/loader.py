@@ -95,13 +95,12 @@ def tpch_deployment(
     profile: SensitivityProfile = FINANCIAL_PROFILE,
     proxy_rng=None,
     modulus_bits: int = 256,
-    instrument: bool = False,
 ):
     """Convenience: (proxy, plain_engine, data) over the same TPC-H data."""
     from repro.core.server import SDBServer
 
     data = generate(scale_factor=scale_factor, seed=seed)
-    server = SDBServer(instrument=instrument)
+    server = SDBServer()
     proxy = SDBProxy(server, modulus_bits=modulus_bits, value_bits=64, rng=proxy_rng)
     load_encrypted(proxy, data, profile=profile, rng=proxy_rng)
     plain = load_plain(data)

@@ -19,7 +19,8 @@ ROWS = [(i, float(100 * i)) for i in range(1, 101)]
 
 @pytest.fixture()
 def deployment():
-    server = SDBServer(instrument=True)
+    server = SDBServer()
+    security.tap(server)
     proxy = SDBProxy(server, modulus_bits=256, value_bits=64, rng=seeded_rng(31))
     proxy.create_table(
         "accounts", COLUMNS, ROWS, sensitive=["balance"], rng=seeded_rng(32)
@@ -95,10 +96,18 @@ def test_memory_dump_structure(deployment):
     assert "5000" not in " ".join(dump["memory"]["queries"])
 
 
-def test_qr_attacker_requires_instrumentation():
-    server = SDBServer(instrument=False)
+def test_qr_attacker_requires_a_tap():
+    server = SDBServer()
     with pytest.raises(ValueError):
         security.QRAttacker(server)
+    transcript = security.tap(server)
+    assert security.tap(server) is transcript  # tapping twice records once
+    assert security.QRAttacker(server).observations() == []
+
+
+def test_untapped_memory_dump_has_empty_memory():
+    dump = SDBServer().memory_dump()
+    assert dump["memory"] == {"queries": [], "results": [], "udf_values": []}
 
 
 # -- cluster deployments ------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 import repro.api as api
 from repro.core.meta import ValueType
+from repro.core.security import tap
 from repro.core.server import SDBServer
 from repro.crypto.prf import seeded_rng
 
@@ -79,18 +80,24 @@ def test_aggregates_still_materialize(deployment):
     assert num_rows == 1  # materialized: exact cardinality known
 
 
-def test_instrumented_servers_materialize():
-    """The transcript is defined over whole results, so no pipelining."""
-    server = SDBServer(instrument=True)
+def test_tapped_servers_still_stream():
+    """A tap records the pipelined path; it does not force materializing."""
+    server = SDBServer()
+    transcript = tap(server)
     conn = api.connect(
         server=server, modulus_bits=256, value_bits=64, rng=seeded_rng(33)
     )
     conn.proxy.create_table(
-        "t", [("k", ValueType.int_())], [(1,), (2,)], rng=seeded_rng(34)
+        "t", [("k", ValueType.int_())], [(1,), (2,), (3,)], rng=seeded_rng(34)
     )
-    stmt_id = server.prepare_query("SELECT k FROM t")
-    _, num_rows = server.execute_prepared(stmt_id)
-    assert num_rows == 2
+    stmt_id = server.prepare_query("SELECT k FROM t WHERE k > ?")
+    result_id, num_rows = server.execute_prepared(stmt_id, [1])
+    assert num_rows == -1
+    assert transcript.queries == ["SELECT k FROM t WHERE (k > 1)"]
+    first = server.fetch_rows(result_id, 1)
+    rest = server.fetch_rows(result_id, None)
+    assert [list(first.rows()), list(rest.rows())] == [[(2,)], [(3,)]]
+    assert transcript.results == [first, rest]  # each fetched chunk
     conn.close()
 
 

@@ -6,13 +6,15 @@ from repro.core.keystore import KeyStoreError
 from repro.core.meta import ValueType
 from repro.core.proxy import SDBProxy
 from repro.core.rewriter import RewriteError
+from repro.core.security import tap
 from repro.core.server import SDBServer
 from repro.crypto.prf import seeded_rng
 
 
 @pytest.fixture()
 def proxy():
-    server = SDBServer(instrument=True)
+    server = SDBServer()
+    tap(server)
     proxy = SDBProxy(server, modulus_bits=256, value_bits=64, rng=seeded_rng(151))
     proxy.create_table(
         "sales",
